@@ -46,13 +46,38 @@
 //! cap, Clifford-only, stochastic, gradient support) so schedulers like
 //! `ghs_service` can reject infeasible jobs at admission.
 //!
-//! The dense backends share the **batched shot engine**: [`Backend::sample`]
-//! simulates the pre-measurement state once, caches the `|amplitude|²`
-//! distribution in an alias table and draws every shot in `O(1)` from
-//! rayon-parallel, deterministically seeded chunks
-//! ([`CachedDistribution`]). The stabilizer backend has a native shot path
-//! instead ([`Backend::sample_bits`]): one tableau collapse per shot, each
-//! shot on its own derived RNG stream.
+//! # Prepare, then execute
+//!
+//! Every backend has exactly one execution path, split in two:
+//!
+//! * [`Backend::prepare`] builds the reusable [`Prepared`] artifact of a
+//!   circuit: the fusion plan ([`FusedStatevector`] from 10 qubits), the
+//!   plan plus the sharded engine's qubit relabeling ([`ShardedStatevector`],
+//!   and [`FusedStatevector`] from [`SHARDED_MIN_QUBITS`]), or the evolved
+//!   tableau ([`StabilizerBackend`]). The reference, noise and density
+//!   backends prepare nothing. Plans depend only on the gate structure, so
+//!   every binding of a template shares one; a tableau is the final state
+//!   itself, so it also depends on the initial state and every angle
+//!   ([`Backend::prepares_state`]);
+//! * [`Backend::execute`] runs the circuit with a prepared artifact and
+//!   reads one [`Readout`] off the result: the dense state, the
+//!   probabilities, a Pauli-sum or sparse expectation, or seeded shots.
+//!
+//! Every other entry point ([`Backend::run`], [`Backend::probabilities`],
+//! [`Backend::expectation`], [`Backend::sample`], …) is `prepare` followed
+//! by `execute`; a scheduler that caches prepared artifacts (the job
+//! service does) calls `execute` alone on a hit and gets bit-identical
+//! results by construction. The three deterministic pure-state engines
+//! implement [`StatevectorEngine`] instead of [`Backend`]: they only say how
+//! they plan and how they evolve a state, and share every readout and the
+//! adjoint gradient.
+//!
+//! Dense backends sample through the **batched shot engine**: the
+//! pre-measurement distribution is computed once, cached in an alias table
+//! and every shot drawn in `O(1)` from rayon-parallel, deterministically
+//! seeded chunks ([`CachedDistribution`]). The stabilizer backend samples
+//! natively instead: one tableau collapse per shot, each shot on its own
+//! derived RNG stream.
 //!
 //! Observables go through the **matrix-free grouped Pauli engine**:
 //! [`Backend::expectation`] takes a preprocessed [`GroupedPauliSum`] and
@@ -82,10 +107,11 @@
 //! assert_eq!(shots, backend.sample(&zero, &bell, 4096, 7).unwrap());
 //! ```
 
-use ghs_circuit::{Circuit, Gate, ParameterizedCircuit};
+use ghs_circuit::{Circuit, FusionPlan, Gate, ParameterizedCircuit, QubitRelabeling};
 use ghs_math::{Complex64, SparseMatrix};
 use ghs_operators::kraus::{KrausChannel, NoiseModel};
 use ghs_stabilizer::{BitString, StabilizerState, STABILIZER_DENSE_MAX_QUBITS};
+use ghs_statevector::fused::FUSED_MIN_DIM;
 use ghs_statevector::{
     adjoint_gradient, derive_stream_seed, CachedDistribution, DensityMatrix, GroupedPauliSum,
     ShardedStateVector, StateVector, SHARDED_MIN_QUBITS,
@@ -95,7 +121,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A typed backend failure: the engine cannot serve the request, and says
 /// why in machine-readable form. Returned by every [`Backend`] entry point
@@ -248,6 +274,29 @@ impl InitialState {
         }
     }
 
+    /// Checks that the initial state fits an `n`-qubit register — basis
+    /// index in range, dense register of the right size — and reports a
+    /// mismatch as a typed error under the calling backend's name.
+    pub(crate) fn check(
+        &self,
+        num_qubits: usize,
+        backend: &'static str,
+    ) -> Result<(), BackendError> {
+        let detail = match self {
+            InitialState::Basis(index)
+                if num_qubits < usize::BITS as usize && *index >= (1usize << num_qubits) =>
+            {
+                format!("basis index {index} out of range for {num_qubits} qubits")
+            }
+            InitialState::Dense(state) if state.num_qubits() != num_qubits => format!(
+                "dense initial state has {} qubits, circuit has {num_qubits}",
+                state.num_qubits()
+            ),
+            _ => return Ok(()),
+        };
+        Err(BackendError::InitialStateMismatch { backend, detail })
+    }
+
     /// Materializes the dense `2^n` statevector for an `n`-qubit register —
     /// the adapter the dense backends call. Validates the basis index / the
     /// dense register size and reports mismatches as typed errors under the
@@ -257,30 +306,12 @@ impl InitialState {
         num_qubits: usize,
         backend: &'static str,
     ) -> Result<StateVector, BackendError> {
-        match self {
-            InitialState::ZeroState => Ok(StateVector::zero_state(num_qubits)),
-            InitialState::Basis(index) => {
-                if num_qubits < usize::BITS as usize && *index >= (1usize << num_qubits) {
-                    return Err(BackendError::InitialStateMismatch {
-                        backend,
-                        detail: format!("basis index {index} out of range for {num_qubits} qubits"),
-                    });
-                }
-                Ok(StateVector::basis_state(num_qubits, *index))
-            }
-            InitialState::Dense(state) => {
-                if state.num_qubits() != num_qubits {
-                    return Err(BackendError::InitialStateMismatch {
-                        backend,
-                        detail: format!(
-                            "dense initial state has {} qubits, circuit has {num_qubits}",
-                            state.num_qubits()
-                        ),
-                    });
-                }
-                Ok((**state).clone())
-            }
-        }
+        self.check(num_qubits, backend)?;
+        Ok(match self {
+            InitialState::ZeroState => StateVector::zero_state(num_qubits),
+            InitialState::Basis(index) => StateVector::basis_state(num_qubits, *index),
+            InitialState::Dense(state) => (**state).clone(),
+        })
     }
 }
 
@@ -339,15 +370,77 @@ impl Capabilities {
     pub const DENSE_MAX_QUBITS: usize = 32;
 }
 
+/// A backend's reusable artifact for one circuit, built by
+/// [`Backend::prepare`] and consumed by [`Backend::execute`]. Shared, not
+/// copied: one value serves any number of executions on any number of
+/// threads (the sharded relabeling is filled in once, by the first).
+#[derive(Debug)]
+pub enum Prepared {
+    /// Nothing worth keeping: execution starts from the circuit alone.
+    Nothing,
+    /// The fusion plan of the circuit's gate structure, shared by every
+    /// binding of a template.
+    Plan(FusionPlan),
+    /// The fusion plan plus the sharded engine's qubit relabeling. The
+    /// relabeling is scored from the first binding executed and then pinned:
+    /// the sharded engine is bit-identical under *any* relabeling, so every
+    /// binding of the template may share it.
+    Sharded {
+        /// The fusion plan of the gate structure.
+        plan: FusionPlan,
+        /// The layout, filled in by the first execution.
+        relabeling: OnceLock<QubitRelabeling>,
+    },
+    /// The stabilizer state after the whole circuit — for one initial state
+    /// and one binding (see [`Backend::prepares_state`]).
+    Tableau(StabilizerState),
+}
+
+/// What [`Backend::execute`] reads off the evolved state.
+#[derive(Clone, Copy, Debug)]
+pub enum Readout<'a> {
+    /// The final dense state ([`Backend::run`]).
+    State,
+    /// Computational-basis probabilities ([`Backend::probabilities`]).
+    Probabilities,
+    /// `⟨ψ|H|ψ⟩` of a grouped Pauli sum ([`Backend::expectation`]).
+    Expectation(&'a GroupedPauliSum),
+    /// `⟨ψ|A|ψ⟩` of a sparse matrix ([`Backend::expectation_sparse`]).
+    SparseExpectation(&'a SparseMatrix),
+    /// `shots` seeded computational-basis outcomes ([`Backend::sample`]).
+    Shots {
+        /// Number of shots to draw.
+        shots: usize,
+        /// Seed of the shot streams.
+        seed: u64,
+    },
+}
+
+/// The answer of [`Backend::execute`] to one [`Readout`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Outcome {
+    /// Answers [`Readout::State`].
+    State(StateVector),
+    /// Answers [`Readout::Probabilities`].
+    Probabilities(Vec<f64>),
+    /// Answers [`Readout::Expectation`] and [`Readout::SparseExpectation`].
+    Value(f64),
+    /// Answers [`Readout::Shots`] as dense indices, when the register fits a
+    /// machine word.
+    Shots(Vec<usize>),
+    /// Answers [`Readout::Shots`] as packed bit strings, for registers
+    /// wider than a machine word.
+    BitShots(Vec<BitString>),
+}
+
 /// An interchangeable circuit-execution engine.
 ///
 /// The trait is object-safe: application code that should stay agnostic of
-/// the engine takes `&dyn Backend`. Dense deterministic backends only
-/// implement [`Backend::run`]; the expectation/sampling entry points have
-/// default implementations on top of it. Stochastic backends override
-/// [`Backend::probabilities`] and [`Backend::expectation`] to average over
-/// their ensemble; non-dense backends (the stabilizer tableau) override
-/// every entry point they support and return typed errors from the rest.
+/// the engine takes `&dyn Backend`. A backend implements
+/// [`Backend::prepare`] (when it has anything worth preparing) and
+/// [`Backend::execute`], its one execution path; every other entry point is
+/// `prepare` followed by `execute`. Non-dense backends (the stabilizer
+/// tableau) answer the readouts they cannot serve with typed errors.
 pub trait Backend {
     /// Stable identifier (used in logs, benchmarks and selection tables).
     fn name(&self) -> &'static str;
@@ -358,14 +451,54 @@ pub trait Backend {
         Capabilities::statevector()
     }
 
-    /// Evolves the initial state through `circuit` and returns the final
-    /// dense state.
+    /// Whether [`Backend::prepare`] evolves the state itself (the stabilizer
+    /// tableau), so that its artifact depends on the initial state and on
+    /// every angle, not only on the gate structure. A cache of prepared
+    /// artifacts keys them accordingly; such a backend needs no cached
+    /// sampling distribution, since its artifact already skips the
+    /// simulation.
+    fn prepares_state(&self) -> bool {
+        false
+    }
+
+    /// Builds the reusable artifact of executing `circuit` from `initial`
+    /// (see [`Prepared`]). The default prepares nothing.
+    fn prepare(
+        &self,
+        _initial: &InitialState,
+        _circuit: &Circuit,
+    ) -> Result<Prepared, BackendError> {
+        Ok(Prepared::Nothing)
+    }
+
+    /// Executes `circuit` from `initial` with an artifact from
+    /// [`Backend::prepare`] and answers `readout` — the backend's one
+    /// execution path. The artifact must come from a circuit of the same
+    /// gate structure (and, when [`Backend::prepares_state`] holds, the same
+    /// initial state and angles); an artifact of another backend is
+    /// replaced by a fresh one.
     ///
-    /// For stochastic backends this is **one** trajectory (drawn from the
-    /// backend's own seed); ensemble-averaged quantities go through
-    /// [`Backend::probabilities`] / [`Backend::expectation`]. Non-dense
+    /// Stochastic backends answer [`Readout::State`] with **one**
+    /// trajectory (drawn from the backend's own seed) and every other
+    /// readout with the ensemble average.
+    fn execute(
+        &self,
+        prepared: &Prepared,
+        initial: &InitialState,
+        circuit: &Circuit,
+        readout: Readout<'_>,
+    ) -> Result<Outcome, BackendError>;
+
+    /// Evolves the initial state through `circuit` and returns the final
+    /// dense state (one trajectory on stochastic backends). Non-dense
     /// backends return [`BackendError::DenseStateUnavailable`].
-    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError>;
+    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError> {
+        let prepared = self.prepare(initial, circuit)?;
+        match self.execute(&prepared, initial, circuit, Readout::State)? {
+            Outcome::State(state) => Ok(state),
+            other => unreachable!("a state readout answered with {other:?}"),
+        }
+    }
 
     /// Measurement probabilities of the evolved state in the computational
     /// basis (ensemble-averaged for stochastic backends).
@@ -374,8 +507,11 @@ pub trait Backend {
         initial: &InitialState,
         circuit: &Circuit,
     ) -> Result<Vec<f64>, BackendError> {
-        let state = self.run(initial, circuit)?;
-        Ok(state.amplitudes().iter().map(|a| a.norm_sqr()).collect())
+        let prepared = self.prepare(initial, circuit)?;
+        match self.execute(&prepared, initial, circuit, Readout::Probabilities)? {
+            Outcome::Probabilities(probs) => Ok(probs),
+            other => unreachable!("a probability readout answered with {other:?}"),
+        }
     }
 
     /// Expectation value `⟨ψ|H|ψ⟩` of a Hermitian Pauli-sum observable on
@@ -395,10 +531,16 @@ pub trait Backend {
         circuit: &Circuit,
         observable: &GroupedPauliSum,
     ) -> Result<f64, BackendError> {
-        Ok(self
-            .run(initial, circuit)?
-            .expectation_grouped(observable)
-            .re)
+        let prepared = self.prepare(initial, circuit)?;
+        match self.execute(
+            &prepared,
+            initial,
+            circuit,
+            Readout::Expectation(observable),
+        )? {
+            Outcome::Value(value) => Ok(value),
+            other => unreachable!("an expectation readout answered with {other:?}"),
+        }
     }
 
     /// Expectation value `⟨ψ|A|ψ⟩` of a Hermitian sparse-matrix observable
@@ -415,10 +557,12 @@ pub trait Backend {
         circuit: &Circuit,
         observable: &SparseMatrix,
     ) -> Result<f64, BackendError> {
-        Ok(self
-            .run(initial, circuit)?
-            .expectation_sparse(observable)
-            .re)
+        let prepared = self.prepare(initial, circuit)?;
+        let readout = Readout::SparseExpectation(observable);
+        match self.execute(&prepared, initial, circuit, readout)? {
+            Outcome::Value(value) => Ok(value),
+            other => unreachable!("an expectation readout answered with {other:?}"),
+        }
     }
 
     /// Draws `shots` computational-basis outcomes as dense indices. On the
@@ -434,18 +578,26 @@ pub trait Backend {
         shots: usize,
         seed: u64,
     ) -> Result<Vec<usize>, BackendError> {
-        Ok(
-            CachedDistribution::from_probabilities(self.probabilities(initial, circuit)?)
-                .sample_seeded(shots, seed),
-        )
+        let n = circuit.num_qubits();
+        if n > usize::BITS as usize {
+            return Err(BackendError::RegisterTooLarge {
+                qubits: n,
+                max_qubits: usize::BITS as usize,
+                backend: self.name(),
+            });
+        }
+        let prepared = self.prepare(initial, circuit)?;
+        match self.execute(&prepared, initial, circuit, Readout::Shots { shots, seed })? {
+            Outcome::Shots(indices) => Ok(indices),
+            other => unreachable!("a shot readout on {n} qubits answered with {other:?}"),
+        }
     }
 
     /// Draws `shots` computational-basis outcomes as packed
     /// [`BitString`]s — the wide-register form of [`Backend::sample`], and
     /// the native shot path of the stabilizer engine (per-shot tableau
-    /// collapse on derived RNG streams). The default packs the dense
-    /// sample stream; for registers that fit a `usize` the two entry
-    /// points see the same outcomes.
+    /// collapse on derived RNG streams). For registers that fit a `usize`
+    /// the two entry points see the same outcomes.
     fn sample_bits(
         &self,
         initial: &InitialState,
@@ -454,28 +606,34 @@ pub trait Backend {
         seed: u64,
     ) -> Result<Vec<BitString>, BackendError> {
         let n = circuit.num_qubits();
-        Ok(self
-            .sample(initial, circuit, shots, seed)?
-            .into_iter()
-            .map(|index| BitString::from_index(n, index))
-            .collect())
+        let prepared = self.prepare(initial, circuit)?;
+        match self.execute(&prepared, initial, circuit, Readout::Shots { shots, seed })? {
+            Outcome::Shots(indices) => Ok(indices
+                .into_iter()
+                .map(|index| BitString::from_index(n, index))
+                .collect()),
+            Outcome::BitShots(bits) => Ok(bits),
+            other => unreachable!("a shot readout answered with {other:?}"),
+        }
     }
 
     /// Energy `⟨ψ(θ)|H|ψ(θ)⟩` **and its full parameter gradient** for a
     /// parameterized circuit bound at `params`.
     ///
-    /// The default implementation is the **parameter-shift rule**, evaluated
-    /// through [`Backend::expectation`]: exact (to machine precision) for
-    /// every differentiable gate kind of the IR, including the four-term
-    /// rule for controlled rotations, and valid for *any* backend that can
-    /// run the bound circuits — on a stochastic backend it differentiates
-    /// the ensemble-averaged energy.
-    /// Its cost is two to four full circuit executions **per bound gate**.
+    /// The default implementation is the **parameter-shift rule**
+    /// ([`parameter_shift_gradient`]), evaluated through
+    /// [`Backend::expectation`]: exact (to machine precision) for every
+    /// differentiable gate kind of the IR, including the four-term rule for
+    /// controlled rotations, and valid for *any* backend that can run the
+    /// bound circuits — on a stochastic backend it differentiates the
+    /// ensemble-averaged energy. Its cost is two to four full circuit
+    /// executions **per bound gate**.
     ///
-    /// The deterministic state-vector backends override this with the
-    /// adjoint method ([`ghs_statevector::adjoint_gradient`]): one forward
-    /// and one reverse sweep for the whole gradient, `O(P)` inner products —
-    /// the CI perf gate enforces its ≥5× advantage at 20+ parameters.
+    /// The deterministic state-vector engines ([`StatevectorEngine`]) use
+    /// the adjoint method instead ([`ghs_statevector::adjoint_gradient`]):
+    /// one forward and one reverse sweep for the whole gradient, `O(P)`
+    /// inner products — the CI perf gate enforces its ≥5× advantage at 20+
+    /// parameters.
     ///
     /// ```
     /// use ghs_circuit::ParameterizedCircuit;
@@ -503,12 +661,19 @@ pub trait Backend {
         params: &[f64],
         observable: &GroupedPauliSum,
     ) -> Result<(f64, Vec<f64>), BackendError> {
-        let mut scratch = Circuit::new(0);
-        circuit.bind_into(params, &mut scratch);
-        let energy = self.expectation(initial, &scratch, observable)?;
-        let mut eval = |c: &Circuit| self.expectation(initial, c, observable);
-        let gradient = shift_gradient(&mut eval, circuit, params, &mut scratch)?;
-        Ok((energy, gradient))
+        parameter_shift_gradient(self, initial, circuit, params, observable)
+    }
+}
+
+/// Reads `readout` off a probability vector: the probabilities themselves,
+/// or seeded shots drawn from their alias table — the batched shot engine
+/// of every backend that samples from a distribution.
+fn read_probabilities(probs: Vec<f64>, readout: Readout<'_>) -> Outcome {
+    match readout {
+        Readout::Shots { shots, seed } => {
+            Outcome::Shots(CachedDistribution::from_probabilities(probs).sample_seeded(shots, seed))
+        }
+        _ => Outcome::Probabilities(probs),
     }
 }
 
@@ -547,48 +712,106 @@ fn shift_rule(gate: &Gate) -> Vec<(f64, f64)> {
     }
 }
 
-/// Shared parameter-shift engine: sums, over every binding of `circuit`, the
-/// binding's shift-rule combination of shifted energy evaluations, chain
-/// rule through the affine scale included. `eval` is charged two to four
-/// calls per binding; its first failure aborts the sweep.
-fn shift_gradient(
-    eval: &mut dyn FnMut(&Circuit) -> Result<f64, BackendError>,
-    circuit: &ParameterizedCircuit,
-    params: &[f64],
-    scratch: &mut Circuit,
-) -> Result<Vec<f64>, BackendError> {
-    let mut gradient = vec![0.0f64; circuit.num_params()];
-    for (bi, binding) in circuit.bindings().iter().enumerate() {
-        let rule = shift_rule(&circuit.template().gates()[binding.gate]);
-        let mut dtheta = 0.0;
-        for (coeff, shift) in rule {
-            circuit.bind_shifted_into(params, bi, shift, scratch);
-            dtheta += coeff * eval(scratch)?;
-        }
-        gradient[binding.expr.param] += binding.expr.scale * dtheta;
-    }
-    Ok(gradient)
-}
-
 /// Energy and gradient of a parameterized circuit by the **parameter-shift
-/// rule** through an arbitrary backend — the oracle the adjoint engine is
-/// property-tested against, and the benchmark baseline of the gradient perf
-/// workloads. Identical to the [`Backend::expectation_gradient`] default
-/// implementation (backends that override it with the adjoint method remain
-/// reachable through this free function).
-pub fn parameter_shift_gradient(
-    backend: &dyn Backend,
+/// rule** through an arbitrary backend: for every binding of `circuit`, the
+/// binding's shift-rule combination of shifted energies, chain rule through
+/// the affine scale included. It is the [`Backend::expectation_gradient`]
+/// default, the oracle the adjoint engine is property-tested against, and
+/// the benchmark baseline of the gradient perf workloads (backends that use
+/// the adjoint method stay reachable through this function).
+pub fn parameter_shift_gradient<B: Backend + ?Sized>(
+    backend: &B,
     initial: &InitialState,
     circuit: &ParameterizedCircuit,
     params: &[f64],
     observable: &GroupedPauliSum,
 ) -> Result<(f64, Vec<f64>), BackendError> {
-    let mut scratch = Circuit::new(0);
-    circuit.bind_into(params, &mut scratch);
+    let mut scratch = circuit.bind(params);
     let energy = backend.expectation(initial, &scratch, observable)?;
-    let mut eval = |c: &Circuit| backend.expectation(initial, c, observable);
-    let gradient = shift_gradient(&mut eval, circuit, params, &mut scratch)?;
+    let mut gradient = vec![0.0f64; circuit.num_params()];
+    for (bi, binding) in circuit.bindings().iter().enumerate() {
+        let mut dtheta = 0.0;
+        for (coeff, shift) in shift_rule(&circuit.template().gates()[binding.gate]) {
+            circuit.bind_shifted_into(params, bi, shift, &mut scratch);
+            dtheta += coeff * backend.expectation(initial, &scratch, observable)?;
+        }
+        gradient[binding.expr.param] += binding.expr.scale * dtheta;
+    }
     Ok((energy, gradient))
+}
+
+/// A deterministic pure-state engine. It only says how it plans a circuit
+/// and how it evolves a dense state; the blanket [`Backend`] impl gives
+/// every such engine the same readouts (the batched shot engine included)
+/// and the same adjoint gradient.
+pub trait StatevectorEngine {
+    /// The engine's [`Backend::name`].
+    const NAME: &'static str;
+
+    /// The engine's [`Backend::prepare`]; the initial state never matters.
+    fn plan(&self, circuit: &Circuit) -> Prepared;
+
+    /// Evolves `initial` through `circuit` with an artifact from
+    /// [`StatevectorEngine::plan`].
+    fn evolve(
+        &self,
+        prepared: &Prepared,
+        initial: &InitialState,
+        circuit: &Circuit,
+    ) -> Result<StateVector, BackendError>;
+}
+
+impl<E: StatevectorEngine> Backend for E {
+    fn name(&self) -> &'static str {
+        E::NAME
+    }
+
+    fn prepare(
+        &self,
+        _initial: &InitialState,
+        circuit: &Circuit,
+    ) -> Result<Prepared, BackendError> {
+        Ok(self.plan(circuit))
+    }
+
+    fn execute(
+        &self,
+        prepared: &Prepared,
+        initial: &InitialState,
+        circuit: &Circuit,
+        readout: Readout<'_>,
+    ) -> Result<Outcome, BackendError> {
+        let state = self.evolve(prepared, initial, circuit)?;
+        Ok(match readout {
+            Readout::State => Outcome::State(state),
+            Readout::Expectation(observable) => {
+                Outcome::Value(state.expectation_grouped(observable).re)
+            }
+            Readout::SparseExpectation(observable) => {
+                Outcome::Value(state.expectation_sparse(observable).re)
+            }
+            Readout::Probabilities | Readout::Shots { .. } => read_probabilities(
+                state.amplitudes().iter().map(|a| a.norm_sqr()).collect(),
+                readout,
+            ),
+        })
+    }
+
+    /// Adjoint-mode gradient: one forward sweep, one reverse sweep, `O(P)`
+    /// masked inner products — instead of the default's `O(P)` full
+    /// simulations (see [`ghs_statevector::adjoint_gradient`]). The sweeps
+    /// are layout-independent, so every engine shares the flat one.
+    fn expectation_gradient(
+        &self,
+        initial: &InitialState,
+        circuit: &ParameterizedCircuit,
+        params: &[f64],
+        observable: &GroupedPauliSum,
+    ) -> Result<(f64, Vec<f64>), BackendError> {
+        let init = initial.to_statevector(circuit.num_qubits(), E::NAME)?;
+        let r = adjoint_gradient(&init, circuit, params, observable);
+        Ok((r.energy, r.gradient))
+    }
 }
 
 /// The production backend: fused gate-application engine (one cache-friendly
@@ -598,51 +821,41 @@ pub fn parameter_shift_gradient(
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedStatevector;
 
-impl Backend for FusedStatevector {
-    fn name(&self) -> &'static str {
-        "fused-statevector"
-    }
+impl StatevectorEngine for FusedStatevector {
+    const NAME: &'static str = "fused-statevector";
 
-    /// Fused execution, crossing over to the sharded engine at
-    /// [`SHARDED_MIN_QUBITS`] qubits, where the flat sweep turns
-    /// memory-bound. The two paths are bit-identical (the sharded engine
+    /// Below 10 qubits fusing costs more than the per-gate sweep it
+    /// replaces, so nothing is planned. From [`SHARDED_MIN_QUBITS`] qubits,
+    /// where the flat sweep turns memory-bound, the plan is the sharded
+    /// engine's. The two paths are bit-identical (the sharded engine
     /// replays the flat kernels' per-amplitude arithmetic and returns
     /// amplitudes in logical order), so the crossover is unobservable.
-    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError> {
-        if circuit.num_qubits() >= SHARDED_MIN_QUBITS {
-            return ShardedStatevector.run(initial, circuit);
+    fn plan(&self, circuit: &Circuit) -> Prepared {
+        let n = circuit.num_qubits();
+        if n >= SHARDED_MIN_QUBITS {
+            ShardedStatevector.plan(circuit)
+        } else if (1usize << n) >= FUSED_MIN_DIM {
+            Prepared::Plan(circuit.fusion_plan())
+        } else {
+            Prepared::Nothing
         }
-        let mut s = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        s.run_fused(circuit);
-        Ok(s)
     }
 
-    /// Deterministic engine: build the alias table straight from the evolved
-    /// state, skipping the intermediate probability vector of the default
-    /// (ensemble-oriented) implementation. Same table, same shot stream.
-    fn sample(
+    fn evolve(
         &self,
+        prepared: &Prepared,
         initial: &InitialState,
         circuit: &Circuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<usize>, BackendError> {
-        Ok(self.run(initial, circuit)?.sample_cached(shots, seed))
-    }
-
-    /// Adjoint-mode gradient: one forward sweep, one reverse sweep, `O(P)`
-    /// masked inner products — instead of the default's `O(P)` full
-    /// simulations (see [`ghs_statevector::adjoint_gradient`]).
-    fn expectation_gradient(
-        &self,
-        initial: &InitialState,
-        circuit: &ParameterizedCircuit,
-        params: &[f64],
-        observable: &GroupedPauliSum,
-    ) -> Result<(f64, Vec<f64>), BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let r = adjoint_gradient(&init, circuit, params, observable);
-        Ok((r.energy, r.gradient))
+    ) -> Result<StateVector, BackendError> {
+        if let Prepared::Sharded { .. } = prepared {
+            return ShardedStatevector.evolve(prepared, initial, circuit);
+        }
+        let mut state = initial.to_statevector(circuit.num_qubits(), Self::NAME)?;
+        match prepared {
+            Prepared::Plan(plan) => state.apply_fused(&plan.emit(circuit)),
+            _ => state.run_fused(circuit),
+        }
+        Ok(state)
     }
 }
 
@@ -656,43 +869,38 @@ impl Backend for FusedStatevector {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardedStatevector;
 
-impl Backend for ShardedStatevector {
-    fn name(&self) -> &'static str {
-        "sharded-statevector"
+impl StatevectorEngine for ShardedStatevector {
+    const NAME: &'static str = "sharded-statevector";
+
+    fn plan(&self, circuit: &Circuit) -> Prepared {
+        Prepared::Sharded {
+            plan: circuit.fusion_plan(),
+            relabeling: OnceLock::new(),
+        }
     }
 
-    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let mut s = ShardedStateVector::from_state(&init);
-        s.run(circuit);
-        Ok(s.to_state())
-    }
-
-    /// Deterministic engine: sample straight from the evolved state (see
-    /// [`FusedStatevector`]'s override).
-    fn sample(
+    /// Symbolic initial states start straight in the shard layout, so no
+    /// flat copy of the register is ever built on the way in.
+    fn evolve(
         &self,
+        prepared: &Prepared,
         initial: &InitialState,
         circuit: &Circuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<usize>, BackendError> {
-        Ok(self.run(initial, circuit)?.sample_cached(shots, seed))
-    }
-
-    /// Adjoint-mode gradient through the flat engine: the reverse sweep's
-    /// inner products are layout-independent, and gradient workloads live
-    /// well below the sharding crossover.
-    fn expectation_gradient(
-        &self,
-        initial: &InitialState,
-        circuit: &ParameterizedCircuit,
-        params: &[f64],
-        observable: &GroupedPauliSum,
-    ) -> Result<(f64, Vec<f64>), BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let r = adjoint_gradient(&init, circuit, params, observable);
-        Ok((r.energy, r.gradient))
+    ) -> Result<StateVector, BackendError> {
+        let Prepared::Sharded { plan, relabeling } = prepared else {
+            return self.evolve(&self.plan(circuit), initial, circuit);
+        };
+        let n = circuit.num_qubits();
+        initial.check(n, Self::NAME)?;
+        let mut state = match initial {
+            InitialState::ZeroState => ShardedStateVector::zero_state(n),
+            InitialState::Basis(index) => ShardedStateVector::basis_state(n, *index),
+            InitialState::Dense(dense) => ShardedStateVector::from_state(dense),
+        };
+        let fused = plan.emit(circuit);
+        let relabeling = relabeling.get_or_init(|| QubitRelabeling::for_sharding(&fused));
+        state.run_fused_with(&fused, relabeling);
+        Ok(state.to_state())
     }
 }
 
@@ -702,42 +910,22 @@ impl Backend for ShardedStatevector {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReferenceStatevector;
 
-impl Backend for ReferenceStatevector {
-    fn name(&self) -> &'static str {
-        "reference-statevector"
+impl StatevectorEngine for ReferenceStatevector {
+    const NAME: &'static str = "reference-statevector";
+
+    fn plan(&self, _circuit: &Circuit) -> Prepared {
+        Prepared::Nothing
     }
 
-    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError> {
-        let mut s = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        s.run_unfused(circuit);
-        Ok(s)
-    }
-
-    /// Deterministic engine: sample straight from the evolved state (see
-    /// [`FusedStatevector`]'s override).
-    fn sample(
+    fn evolve(
         &self,
+        _prepared: &Prepared,
         initial: &InitialState,
         circuit: &Circuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<usize>, BackendError> {
-        Ok(self.run(initial, circuit)?.sample_cached(shots, seed))
-    }
-
-    /// Adjoint-mode gradient (see [`FusedStatevector`]'s override); the
-    /// parameter-shift oracle stays reachable through
-    /// [`parameter_shift_gradient`].
-    fn expectation_gradient(
-        &self,
-        initial: &InitialState,
-        circuit: &ParameterizedCircuit,
-        params: &[f64],
-        observable: &GroupedPauliSum,
-    ) -> Result<(f64, Vec<f64>), BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let r = adjoint_gradient(&init, circuit, params, observable);
-        Ok((r.energy, r.gradient))
+    ) -> Result<StateVector, BackendError> {
+        let mut state = initial.to_statevector(circuit.num_qubits(), Self::NAME)?;
+        state.run_unfused(circuit);
+        Ok(state)
     }
 }
 
@@ -856,73 +1044,62 @@ impl Backend for PauliNoise {
         }
     }
 
-    /// One trajectory (index 0). Ensemble-averaged quantities go through
-    /// [`Backend::probabilities`] / [`Backend::expectation`] /
-    /// [`Backend::sample`].
-    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        Ok(self.trajectory(&init, circuit, 0))
-    }
-
-    fn probabilities(
+    /// At zero noise strength the single trajectory is the RNG-free
+    /// per-gate reference sweep, so every readout matches
+    /// [`ReferenceStatevector`]'s **bit-exactly** (a regression test
+    /// enforces this).
+    fn execute(
         &self,
+        _prepared: &Prepared,
         initial: &InitialState,
         circuit: &Circuit,
-    ) -> Result<Vec<f64>, BackendError> {
+        readout: Readout<'_>,
+    ) -> Result<Outcome, BackendError> {
         let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        let mut acc = vec![0.0f64; init.dim()];
-        for index in 0..t {
-            let state = self.trajectory(&init, circuit, index);
-            for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
-                *a += amp.norm_sqr();
+        Ok(read_ensemble(
+            self.ensemble(),
+            init.dim(),
+            readout,
+            |index| self.trajectory(&init, circuit, index),
+        ))
+    }
+}
+
+/// Reads `readout` off a seeded ensemble of `t` trajectories over a
+/// `dim`-amplitude register: [`Readout::State`] is trajectory 0, every other
+/// readout averages the whole ensemble in trajectory order (shots are drawn
+/// from the averaged distribution).
+fn read_ensemble(
+    t: usize,
+    dim: usize,
+    readout: Readout<'_>,
+    trajectory: impl Fn(usize) -> StateVector,
+) -> Outcome {
+    let mean = |value: &dyn Fn(&StateVector) -> f64| {
+        (0..t).map(|index| value(&trajectory(index))).sum::<f64>() / t as f64
+    };
+    match readout {
+        Readout::State => Outcome::State(trajectory(0)),
+        Readout::Expectation(observable) => {
+            Outcome::Value(mean(&|s| s.expectation_grouped(observable).re))
+        }
+        Readout::SparseExpectation(observable) => {
+            Outcome::Value(mean(&|s| s.expectation_sparse(observable).re))
+        }
+        Readout::Probabilities | Readout::Shots { .. } => {
+            let mut acc = vec![0.0f64; dim];
+            for index in 0..t {
+                let state = trajectory(index);
+                for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
+                    *a += amp.norm_sqr();
+                }
             }
+            let inv = 1.0 / t as f64;
+            for a in &mut acc {
+                *a *= inv;
+            }
+            read_probabilities(acc, readout)
         }
-        let inv = 1.0 / t as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        Ok(acc)
-    }
-
-    /// Matrix-free observable, averaged over the trajectory ensemble. At
-    /// zero noise strength the single trajectory is the RNG-free per-gate
-    /// reference sweep, so the value matches [`ReferenceStatevector`]'s
-    /// **bit-exactly** (a regression test enforces this).
-    fn expectation(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &GroupedPauliSum,
-    ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_grouped(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
-    }
-
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_sparse(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
     }
 }
 
@@ -1113,69 +1290,20 @@ impl Backend for TrajectoryNoise {
         }
     }
 
-    /// One trajectory (index 0). Ensemble-averaged quantities go through
-    /// [`Backend::probabilities`] / [`Backend::expectation`] /
-    /// [`Backend::sample`].
-    fn run(&self, initial: &InitialState, circuit: &Circuit) -> Result<StateVector, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        Ok(self.trajectory(&init, circuit, 0))
-    }
-
-    fn probabilities(
+    fn execute(
         &self,
+        _prepared: &Prepared,
         initial: &InitialState,
         circuit: &Circuit,
-    ) -> Result<Vec<f64>, BackendError> {
+        readout: Readout<'_>,
+    ) -> Result<Outcome, BackendError> {
         let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        let mut acc = vec![0.0f64; init.dim()];
-        for index in 0..t {
-            let state = self.trajectory(&init, circuit, index);
-            for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
-                *a += amp.norm_sqr();
-            }
-        }
-        let inv = 1.0 / t as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        Ok(acc)
-    }
-
-    fn expectation(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &GroupedPauliSum,
-    ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_grouped(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
-    }
-
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_sparse(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
+        Ok(read_ensemble(
+            self.ensemble(),
+            init.dim(),
+            readout,
+            |index| self.trajectory(&init, circuit, index),
+        ))
     }
 }
 
@@ -1269,49 +1397,30 @@ impl Backend for DensityMatrixBackend {
         }
     }
 
-    /// Always a typed error: a mixed state has no dense pure-state output.
-    fn run(
+    /// Evolves `ρ` and reads it off: the exact diagonal for probabilities
+    /// (and the shots drawn from it), `tr(ρH)` through the vectorised mask
+    /// sweep, `tr(ρA)` on the sparse oracle path. [`Readout::State`] is
+    /// always a typed error: a mixed state has no dense pure-state output.
+    fn execute(
         &self,
-        _initial: &InitialState,
-        _circuit: &Circuit,
-    ) -> Result<StateVector, BackendError> {
-        Err(BackendError::DenseStateUnavailable {
-            backend: self.name(),
+        _prepared: &Prepared,
+        initial: &InitialState,
+        circuit: &Circuit,
+        readout: Readout<'_>,
+    ) -> Result<Outcome, BackendError> {
+        if let Readout::State = readout {
+            return Err(BackendError::DenseStateUnavailable {
+                backend: self.name(),
+            });
+        }
+        let rho = self.evolve(initial, circuit)?;
+        Ok(match readout {
+            Readout::Expectation(observable) => Outcome::Value(rho.expectation_grouped(observable)),
+            Readout::SparseExpectation(observable) => {
+                Outcome::Value(rho.expectation_sparse(observable).re)
+            }
+            _ => read_probabilities(rho.probabilities(), readout),
         })
-    }
-
-    /// The exact diagonal of `ρ` in the computational basis.
-    fn probabilities(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-    ) -> Result<Vec<f64>, BackendError> {
-        Ok(self.evolve(initial, circuit)?.probabilities())
-    }
-
-    /// Exact `tr(ρH)` through the vectorised mask sweep.
-    fn expectation(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &GroupedPauliSum,
-    ) -> Result<f64, BackendError> {
-        Ok(self
-            .evolve(initial, circuit)?
-            .expectation_grouped(observable))
-    }
-
-    /// Exact `tr(ρA)` for a sparse observable (the slow oracle path).
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        Ok(self
-            .evolve(initial, circuit)?
-            .expectation_sparse(observable)
-            .re)
     }
 }
 
@@ -1359,9 +1468,9 @@ impl StabilizerBackend {
     pub const MAX_QUBITS: usize = 1 << 14;
 
     /// Conjugates `circuit` into a tableau starting from `initial` — the
-    /// preparation the shot path runs once and `ghs_service` caches per
-    /// circuit structure. Symbolic initial states only; the first
-    /// non-Clifford gate aborts with a typed error.
+    /// backend's [`Backend::prepare`], which `ghs_service` caches per
+    /// circuit structure, initial state and angles. Symbolic initial states
+    /// only; the first non-Clifford gate aborts with a typed error.
     pub fn prepare(
         &self,
         initial: &InitialState,
@@ -1445,117 +1554,67 @@ impl Backend for StabilizerBackend {
         }
     }
 
-    /// The tableau has no `2^n`-amplitude representation to return.
-    fn run(
+    fn prepares_state(&self) -> bool {
+        true
+    }
+
+    /// The tableau after the whole circuit ([`StabilizerBackend::prepare`]).
+    fn prepare(&self, initial: &InitialState, circuit: &Circuit) -> Result<Prepared, BackendError> {
+        StabilizerBackend::prepare(self, initial, circuit).map(Prepared::Tableau)
+    }
+
+    /// Reads the prepared tableau off (see the type docs). Shots come back
+    /// as dense indices while the register fits a machine word, as bit
+    /// strings beyond.
+    fn execute(
         &self,
-        _initial: &InitialState,
-        _circuit: &Circuit,
-    ) -> Result<StateVector, BackendError> {
-        Err(BackendError::DenseStateUnavailable {
+        prepared: &Prepared,
+        initial: &InitialState,
+        circuit: &Circuit,
+        readout: Readout<'_>,
+    ) -> Result<Outcome, BackendError> {
+        let Prepared::Tableau(tableau) = prepared else {
+            let prepared = Backend::prepare(self, initial, circuit)?;
+            return self.execute(&prepared, initial, circuit, readout);
+        };
+        let n = tableau.num_qubits();
+        let word = usize::BITS as usize;
+        let too_large = |max_qubits| BackendError::RegisterTooLarge {
+            qubits: n,
+            max_qubits,
             backend: self.name(),
-        })
-    }
-
-    /// Exact basis probabilities by branching the per-qubit measurement
-    /// tree. The output vector itself is `2^n` long, so this entry point is
-    /// capped at [`STABILIZER_DENSE_MAX_QUBITS`] qubits; wide registers
-    /// should sample ([`Backend::sample_bits`]) or read observables
-    /// ([`Backend::expectation`]) instead.
-    fn probabilities(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-    ) -> Result<Vec<f64>, BackendError> {
-        let n = circuit.num_qubits();
-        if n > STABILIZER_DENSE_MAX_QUBITS {
-            return Err(BackendError::RegisterTooLarge {
-                qubits: n,
-                max_qubits: STABILIZER_DENSE_MAX_QUBITS,
-                backend: self.name(),
-            });
+        };
+        match readout {
+            Readout::State | Readout::SparseExpectation(_) => {
+                Err(BackendError::DenseStateUnavailable {
+                    backend: self.name(),
+                })
+            }
+            Readout::Probabilities if n > STABILIZER_DENSE_MAX_QUBITS => {
+                Err(too_large(STABILIZER_DENSE_MAX_QUBITS))
+            }
+            Readout::Probabilities => Ok(Outcome::Probabilities(tableau.basis_probabilities())),
+            Readout::Expectation(_) if n > word => Err(too_large(word)),
+            Readout::Expectation(observable) => {
+                let mut acc = Complex64::ZERO;
+                for (coeff, x_mask, z_mask) in observable.string_masks() {
+                    acc += coeff * tableau.expectation_dense_masks(x_mask, z_mask);
+                }
+                Ok(Outcome::Value(acc.re))
+            }
+            Readout::Shots { shots, seed } => {
+                let bits = Self::sample_prepared(tableau, shots, seed);
+                Ok(if n <= word {
+                    Outcome::Shots(
+                        bits.iter()
+                            .map(|b| b.to_index().expect("register fits a machine word"))
+                            .collect(),
+                    )
+                } else {
+                    Outcome::BitShots(bits)
+                })
+            }
         }
-        Ok(self.prepare(initial, circuit)?.basis_probabilities())
-    }
-
-    /// Pauli-sum expectation read off the tableau, term by term: each
-    /// string either anticommutes with a stabilizer (`⟨P⟩ = 0`) or is a
-    /// signed product of stabilizer generators (`⟨P⟩ = ±1`). The
-    /// [`GroupedPauliSum`] mask representation caps the observable register
-    /// at a machine word.
-    fn expectation(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &GroupedPauliSum,
-    ) -> Result<f64, BackendError> {
-        let n = circuit.num_qubits();
-        if n > usize::BITS as usize {
-            return Err(BackendError::RegisterTooLarge {
-                qubits: n,
-                max_qubits: usize::BITS as usize,
-                backend: self.name(),
-            });
-        }
-        let state = self.prepare(initial, circuit)?;
-        let mut acc = Complex64::ZERO;
-        for (coeff, x_mask, z_mask) in observable.string_masks() {
-            acc += coeff * state.expectation_dense_masks(x_mask, z_mask);
-        }
-        Ok(acc.re)
-    }
-
-    /// Sparse-matrix observables need the dense state; use the Pauli-sum
-    /// path ([`Backend::expectation`]) instead.
-    fn expectation_sparse(
-        &self,
-        _initial: &InitialState,
-        _circuit: &Circuit,
-        _observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        Err(BackendError::DenseStateUnavailable {
-            backend: self.name(),
-        })
-    }
-
-    /// Dense-index sampling for registers that fit a machine word; the
-    /// outcomes are exactly [`Backend::sample_bits`]'s, re-encoded.
-    fn sample(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<usize>, BackendError> {
-        let n = circuit.num_qubits();
-        if n > usize::BITS as usize {
-            return Err(BackendError::RegisterTooLarge {
-                qubits: n,
-                max_qubits: usize::BITS as usize,
-                backend: self.name(),
-            });
-        }
-        Ok(self
-            .sample_bits(initial, circuit, shots, seed)?
-            .into_iter()
-            .map(|bits| {
-                bits.to_index()
-                    .expect("outcome fits a machine word by the register check above")
-            })
-            .collect())
-    }
-
-    /// The native stabilizer shot path: prepare the tableau once, collapse
-    /// one clone per shot on per-shot derived RNG streams. This is the
-    /// entry point that runs 1000-qubit GHZ sampling.
-    fn sample_bits(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<BitString>, BackendError> {
-        let tableau = self.prepare(initial, circuit)?;
-        Ok(Self::sample_prepared(&tableau, shots, seed))
     }
 }
 
@@ -1628,24 +1687,6 @@ impl BackendSpec {
                 seed,
             } => Box::new(TrajectoryNoise::new(model.clone(), *trajectories, *seed)),
             BackendSpec::Density { model } => Box::new(DensityMatrixBackend::new(model.clone())),
-        }
-    }
-
-    /// The described backend's [`Capabilities`], without boxing it.
-    pub fn capabilities(&self) -> Capabilities {
-        match self {
-            BackendSpec::Fused | BackendSpec::Sharded | BackendSpec::Reference => {
-                Capabilities::statevector()
-            }
-            BackendSpec::Stabilizer => StabilizerBackend.capabilities(),
-            BackendSpec::Noisy { .. } | BackendSpec::Trajectory { .. } => Capabilities {
-                stochastic: true,
-                ..Capabilities::statevector()
-            },
-            BackendSpec::Density { .. } => Capabilities {
-                max_qubits: DensityMatrixBackend::MAX_QUBITS,
-                ..Capabilities::statevector()
-            },
         }
     }
 
@@ -1965,28 +2006,6 @@ mod tests {
         let density_caps = DensityMatrixBackend::default().capabilities();
         assert_eq!(density_caps.max_qubits, DensityMatrixBackend::MAX_QUBITS);
         assert!(!density_caps.stochastic && density_caps.supports_gradients);
-        for spec in [
-            BackendSpec::Fused,
-            BackendSpec::Sharded,
-            BackendSpec::Reference,
-            BackendSpec::Stabilizer,
-            BackendSpec::Noisy {
-                depolarizing: 0.01,
-                dephasing: 0.0,
-                trajectories: 4,
-                seed: 0,
-            },
-            BackendSpec::Trajectory {
-                model: NoiseModel::depolarizing(0.01),
-                trajectories: 4,
-                seed: 0,
-            },
-            BackendSpec::Density {
-                model: NoiseModel::noiseless(),
-            },
-        ] {
-            assert_eq!(spec.capabilities(), spec.build().capabilities());
-        }
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub mod usual;
 
 pub use backend::{
     backend_by_name, parameter_shift_gradient, Backend, BackendError, BackendSpec, Capabilities,
-    DensityMatrixBackend, FusedStatevector, InitialState, PauliNoise, ReferenceStatevector,
-    ShardedStatevector, StabilizerBackend, TrajectoryNoise,
+    DensityMatrixBackend, FusedStatevector, InitialState, Outcome, PauliNoise, Prepared, Readout,
+    ReferenceStatevector, ShardedStatevector, StabilizerBackend, StatevectorEngine,
+    TrajectoryNoise,
 };
 pub use block_encoding::{
     block_encode_hamiltonian, block_encode_lcu, block_encode_term, term_lcu,

@@ -1,31 +1,27 @@
-//! The structural plan cache: the artifact store that lets repeated circuit
-//! topologies skip planning and preparation entirely.
+//! The shared artifact cache: what lets repeated circuit structures skip
+//! preparation, repeated observables skip grouping, and repeated sampling
+//! executions skip simulation.
 //!
-//! Five capacity-bounded LRU maps, all shared by every worker:
+//! Three capacity-bounded LRU maps, shared by every worker and all served by
+//! one lookup-or-build path:
 //!
-//! * **plans** — [`StructuralKey`] → [`FusionPlan`]. A plan depends only on
-//!   gate structure, never on angles, so every binding of a template (and
-//!   every concrete circuit with the same topology) shares one plan.
+//! * **prepared values** — (backend, [`StructuralKey`]) → the backend's
+//!   [`Prepared`] artifact ([`ghs_core::Backend::prepare`]): a fusion plan,
+//!   or a plan plus the sharded engine's qubit relabeling. A plan depends
+//!   only on gate structure, never on angles, so every binding of a
+//!   template (and every concrete circuit with the same topology) shares
+//!   one. A stabilizer tableau is the final state itself, so its key also
+//!   carries the initial basis state and the exact angle bits; every shot
+//!   collapses its own clone, so sharing it across workers is sound.
+//!   Backends that prepare nothing leave an empty marker.
 //! * **observables** — content fingerprint of a [`PauliSum`] →
 //!   [`GroupedPauliSum`]. Observable preparation depends only on the
 //!   Hamiltonian, so VQE/QAOA streams prepare each observable once.
-//! * **distributions** — (structural key, initial state, exact angle bits,
-//!   execution-layout fingerprint) → [`CachedDistribution`]. A repeated
-//!   *fully-specified* circuit lets sampling jobs skip the state-vector
+//! * **distributions** — (backend, structural key, initial basis state,
+//!   exact angle bits) → [`CachedDistribution`]. A repeated
+//!   *fully-specified* circuit lets sampling jobs skip preparation and
 //!   execution altogether and draw shots straight from the cached alias
 //!   table; distinct seeds still give independent, deterministic streams.
-//! * **relabelings** — [`StructuralKey`] → the sharded engine's
-//!   [`QubitRelabeling`]. Any relabeling yields correct (indeed,
-//!   bit-identical) results — the permutation only decides which fused ops
-//!   are shard-local — so sharing one relabeling across all bindings of a
-//!   template is sound even though the heat scores it was derived from are
-//!   angle-dependent.
-//! * **tableaus** — (structural key, initial basis state, angle bits) →
-//!   the prepared [`StabilizerState`] of a Clifford circuit. A repeated
-//!   stabilizer sampling job skips the `O(gates · n)` tableau conjugation
-//!   and goes straight to per-shot collapse; the cached tableau is
-//!   read-only (every shot collapses its own clone), so sharing it across
-//!   workers is sound.
 //!
 //! A capacity of `0` disables caching — every lookup is a miss and nothing
 //! is stored. The cold leg of the `service_mixed_throughput` benchmark runs
@@ -34,9 +30,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ghs_circuit::{Circuit, FusedCircuit, FusionPlan, QubitRelabeling, StructuralKey};
+use ghs_circuit::{Circuit, StructuralKey};
+use ghs_core::{BackendError, BackendSpec, Prepared};
 use ghs_operators::PauliSum;
-use ghs_stabilizer::StabilizerState;
 use ghs_statevector::{CachedDistribution, GroupedPauliSum};
 
 /// Locks a cache map, recovering from mutex poisoning.
@@ -51,11 +47,6 @@ use ghs_statevector::{CachedDistribution, GroupedPauliSum};
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// Layout tag of tableau-cache keys: stabilizer entries live in their own
-/// map, but tagging keeps a [`DistKey`] unambiguous about the engine its
-/// artifact was built under.
-pub(crate) const STABILIZER_LAYOUT: u64 = 0x5f5f_7374_6162_5f5f; // "__stab__"
 
 /// Minimal LRU over a small `Vec`: exact recency via a monotone tick. The
 /// capacities in play are tens of entries, where a linear scan beats any
@@ -116,35 +107,16 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
     }
 }
 
-/// Identity of a fully-specified execution for the distribution cache:
-/// structure, starting basis state, the exact bit patterns of every angle
-/// in the bound circuit, and the execution layout. Angle bits (not
-/// approximate equality) keep the cache sound: a hit reproduces the exact
-/// amplitudes bit for bit. The layout fingerprint (`0` for the flat engine,
-/// [`layout_fingerprint`] for a sharded run) keys the *engine
-/// configuration* the distribution was built under, so a sharded-layout
-/// entry is never served to a flat job or vice versa.
-#[derive(Clone, PartialEq, Eq)]
-pub(crate) struct DistKey {
-    pub key: StructuralKey,
-    pub initial: usize,
-    pub angles: Vec<u64>,
-    pub layout: u64,
-}
-
-/// FNV-1a fingerprint of a sharded execution layout (shard count plus the
-/// relabeling's forward table). Never `0`, the flat engine's reserved
-/// layout value.
-pub(crate) fn layout_fingerprint(shard_count: usize, relabeling: &QubitRelabeling) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let word = |h: &mut u64, w: u64| *h = (*h ^ w).wrapping_mul(PRIME);
-    word(&mut h, shard_count as u64);
-    for &p in relabeling.as_slice() {
-        word(&mut h, p as u64);
-    }
-    h.max(1)
+/// Identity of a prepared value or a distribution: the backend that built
+/// it, the circuit's structure and — for artifacts of one fully-specified
+/// execution — the initial basis state and the exact bit patterns of every
+/// angle in the bound circuit. Angle bits (not approximate equality) keep
+/// the cache sound: a hit reproduces the exact result bit for bit.
+#[derive(Clone, PartialEq)]
+pub(crate) struct ArtifactKey {
+    pub backend: BackendSpec,
+    pub structure: StructuralKey,
+    pub execution: Option<(usize, Vec<u64>)>,
 }
 
 /// The exact angle bit patterns of a bound circuit, in gate order.
@@ -203,31 +175,25 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// A `[misses, hits]` counter pair, indexed by whether the lookup hit.
+type Tally = [AtomicU64; 2];
+
 #[derive(Default)]
 struct Counters {
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    observable_hits: AtomicU64,
-    observable_misses: AtomicU64,
-    distribution_hits: AtomicU64,
-    distribution_misses: AtomicU64,
-    relabeling_hits: AtomicU64,
-    relabeling_misses: AtomicU64,
-    tableau_hits: AtomicU64,
-    tableau_misses: AtomicU64,
+    plans: Tally,
+    observables: Tally,
+    distributions: Tally,
+    relabelings: Tally,
+    tableaus: Tally,
     evictions: AtomicU64,
 }
 
 /// The shared artifact cache (see the module docs). All methods take `&self`
-/// and are safe to call from every worker concurrently; artifact
-/// construction happens outside the map locks, so a slow plan never blocks
-/// unrelated lookups.
+/// and are safe to call from every worker concurrently.
 pub struct PlanCache {
-    plans: Mutex<Lru<StructuralKey, Arc<FusionPlan>>>,
+    plans: Mutex<Lru<ArtifactKey, Arc<Prepared>>>,
     observables: Mutex<Lru<u64, Arc<GroupedPauliSum>>>,
-    distributions: Mutex<Lru<DistKey, Arc<CachedDistribution>>>,
-    relabelings: Mutex<Lru<StructuralKey, Arc<QubitRelabeling>>>,
-    tableaus: Mutex<Lru<DistKey, Arc<StabilizerState>>>,
+    distributions: Mutex<Lru<ArtifactKey, Arc<CachedDistribution>>>,
     counters: Counters,
 }
 
@@ -239,131 +205,111 @@ impl PlanCache {
             plans: Mutex::new(Lru::new(capacity)),
             observables: Mutex::new(Lru::new(capacity)),
             distributions: Mutex::new(Lru::new(capacity)),
-            relabelings: Mutex::new(Lru::new(capacity)),
-            tableaus: Mutex::new(Lru::new(capacity)),
             counters: Counters::default(),
         }
     }
 
-    /// The fusion plan for `circuit`'s topology: cached by `key`, planned on
-    /// miss. Two workers racing on the same miss both plan and one insert
-    /// wins — harmless, since plans for equal keys are interchangeable.
-    pub(crate) fn plan(&self, circuit: &Circuit, key: StructuralKey) -> Arc<FusionPlan> {
-        if let Some(plan) = lock_recover(&self.plans).get(&key) {
-            self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return plan;
+    /// The one lookup path of every map: the entry under `key` when
+    /// resident, otherwise `build`'s value, stored (counting any eviction).
+    /// Returns whether the lookup hit. Building happens outside the map
+    /// lock, so a slow build never blocks unrelated lookups; two workers
+    /// racing on one miss both build and one insert wins — harmless, since
+    /// equal keys build interchangeable values.
+    fn lookup_or_build<K: PartialEq, V: Clone>(
+        &self,
+        map: &Mutex<Lru<K, V>>,
+        key: K,
+        build: impl FnOnce() -> Result<V, BackendError>,
+    ) -> Result<(V, bool), BackendError> {
+        if let Some(value) = lock_recover(map).get(&key) {
+            return Ok((value, true));
         }
-        self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(circuit.fusion_plan());
-        if lock_recover(&self.plans).insert(key, plan.clone()) {
+        let value = build()?;
+        if lock_recover(map).insert(key, value.clone()) {
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        plan
+        Ok((value, false))
+    }
+
+    /// The backend's prepared value under `key`, built on a miss. Counted
+    /// by what it holds: a plan, a plan plus a relabeling, or a tableau.
+    pub(crate) fn prepared(
+        &self,
+        key: ArtifactKey,
+        build: impl FnOnce() -> Result<Prepared, BackendError>,
+    ) -> Result<Arc<Prepared>, BackendError> {
+        let (prepared, hit) = self.lookup_or_build(&self.plans, key, || build().map(Arc::new))?;
+        let c = &self.counters;
+        let tallies: &[&Tally] = match *prepared {
+            Prepared::Nothing => &[],
+            Prepared::Plan(_) => &[&c.plans],
+            Prepared::Sharded { .. } => &[&c.plans, &c.relabelings],
+            Prepared::Tableau(_) => &[&c.tableaus],
+        };
+        for tally in tallies {
+            tally[usize::from(hit)].fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(prepared)
     }
 
     /// The prepared grouped form of `sum`: cached by content fingerprint,
     /// prepared on miss.
     pub(crate) fn observable(&self, sum: &PauliSum) -> Arc<GroupedPauliSum> {
-        let fp = observable_fingerprint(sum);
-        if let Some(obs) = lock_recover(&self.observables).get(&fp) {
-            self.counters
-                .observable_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return obs;
-        }
-        self.counters
-            .observable_misses
-            .fetch_add(1, Ordering::Relaxed);
-        let obs = Arc::new(GroupedPauliSum::new(sum));
-        if lock_recover(&self.observables).insert(fp, obs.clone()) {
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        obs
+        let key = observable_fingerprint(sum);
+        let (observable, hit) = self
+            .lookup_or_build(&self.observables, key, || {
+                Ok(Arc::new(GroupedPauliSum::new(sum)))
+            })
+            .expect("grouping an observable cannot fail");
+        self.counters.observables[usize::from(hit)].fetch_add(1, Ordering::Relaxed);
+        observable
     }
 
-    /// The sharded engine's qubit relabeling for `fused`'s topology: cached
-    /// by structural key, scored from the emitted circuit on miss
-    /// ([`QubitRelabeling::for_sharding`]). Sharing one relabeling across
-    /// every binding of a template is sound because the sharded engine is
-    /// bit-identical under *any* relabeling; caching only pins *which*
-    /// (equally correct) layout the service executes under.
-    pub(crate) fn sharding_relabeling(
+    /// The pre-measurement distribution of a fully-specified execution
+    /// under `key`, built on a miss.
+    pub(crate) fn distribution(
         &self,
-        fused: &FusedCircuit,
-        key: StructuralKey,
-    ) -> Arc<QubitRelabeling> {
-        if let Some(r) = lock_recover(&self.relabelings).get(&key) {
-            self.counters
-                .relabeling_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return r;
-        }
-        self.counters
-            .relabeling_misses
-            .fetch_add(1, Ordering::Relaxed);
-        let r = Arc::new(QubitRelabeling::for_sharding(fused));
-        if lock_recover(&self.relabelings).insert(key, r.clone()) {
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        r
-    }
-
-    /// Looks up the cached pre-measurement distribution of a fully-specified
-    /// execution. Counts a hit or a miss; the caller stores the distribution
-    /// it builds on a miss via [`PlanCache::store_distribution`].
-    pub(crate) fn distribution(&self, key: &DistKey) -> Option<Arc<CachedDistribution>> {
-        let found = lock_recover(&self.distributions).get(key);
-        let counter = match found {
-            Some(_) => &self.counters.distribution_hits,
-            None => &self.counters.distribution_misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    /// Stores a freshly built distribution under `key`.
-    pub(crate) fn store_distribution(&self, key: DistKey, dist: Arc<CachedDistribution>) {
-        if lock_recover(&self.distributions).insert(key, dist) {
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Looks up the cached prepared tableau of a fully-specified stabilizer
-    /// execution. Counts a hit or a miss; the caller stores the tableau it
-    /// prepares on a miss via [`PlanCache::store_tableau`].
-    pub(crate) fn tableau(&self, key: &DistKey) -> Option<Arc<StabilizerState>> {
-        let found = lock_recover(&self.tableaus).get(key);
-        let counter = match found {
-            Some(_) => &self.counters.tableau_hits,
-            None => &self.counters.tableau_misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    /// Stores a freshly prepared tableau under `key`.
-    pub(crate) fn store_tableau(&self, key: DistKey, tableau: Arc<StabilizerState>) {
-        if lock_recover(&self.tableaus).insert(key, tableau) {
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        key: ArtifactKey,
+        build: impl FnOnce() -> Result<CachedDistribution, BackendError>,
+    ) -> Result<Arc<CachedDistribution>, BackendError> {
+        let (dist, hit) =
+            self.lookup_or_build(&self.distributions, key, || build().map(Arc::new))?;
+        self.counters.distributions[usize::from(hit)].fetch_add(1, Ordering::Relaxed);
+        Ok(dist)
     }
 
     /// Snapshot of the lifetime hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         let c = &self.counters;
+        let load = |tally: &Tally, hit: bool| tally[usize::from(hit)].load(Ordering::Relaxed);
         CacheStats {
-            plan_hits: c.plan_hits.load(Ordering::Relaxed),
-            plan_misses: c.plan_misses.load(Ordering::Relaxed),
-            observable_hits: c.observable_hits.load(Ordering::Relaxed),
-            observable_misses: c.observable_misses.load(Ordering::Relaxed),
-            distribution_hits: c.distribution_hits.load(Ordering::Relaxed),
-            distribution_misses: c.distribution_misses.load(Ordering::Relaxed),
-            relabeling_hits: c.relabeling_hits.load(Ordering::Relaxed),
-            relabeling_misses: c.relabeling_misses.load(Ordering::Relaxed),
-            tableau_hits: c.tableau_hits.load(Ordering::Relaxed),
-            tableau_misses: c.tableau_misses.load(Ordering::Relaxed),
+            plan_hits: load(&c.plans, true),
+            plan_misses: load(&c.plans, false),
+            observable_hits: load(&c.observables, true),
+            observable_misses: load(&c.observables, false),
+            distribution_hits: load(&c.distributions, true),
+            distribution_misses: load(&c.distributions, false),
+            relabeling_hits: load(&c.relabelings, true),
+            relabeling_misses: load(&c.relabelings, false),
+            tableau_hits: load(&c.tableaus, true),
+            tableau_misses: load(&c.tableaus, false),
             evictions: c.evictions.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// The fused backend's plan for `circuit`, planned at any register size —
+/// the unit tests' probe of the shared lookup path.
+#[cfg(test)]
+impl PlanCache {
+    fn plan(&self, circuit: &Circuit, key: StructuralKey) -> Arc<Prepared> {
+        let key = ArtifactKey {
+            backend: BackendSpec::Fused,
+            structure: key,
+            execution: None,
+        };
+        self.prepared(key, || Ok(Prepared::Plan(circuit.fusion_plan())))
+            .expect("planning cannot fail")
     }
 }
 

@@ -6,6 +6,7 @@
 //! [`Arc`], so a thousand-job VQE stream shares one template and one
 //! observable allocation across every spec.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use ghs_circuit::{Circuit, Gate, ParameterizedCircuit, StructuralKey};
@@ -18,8 +19,8 @@ pub type JobId = u64;
 
 /// The circuit a job executes: either a fully-specified concrete circuit or
 /// a parameterized template plus the binding vector. The template form is
-/// the one the executor batches: same-template jobs rebind angles in a
-/// per-worker scratch circuit with zero per-job allocation.
+/// the one the executor batches: every binding of a template shares its
+/// cached prepared value.
 #[derive(Clone)]
 pub enum CircuitSource {
     /// A concrete, fully-bound circuit.
@@ -39,6 +40,15 @@ impl CircuitSource {
         match self {
             CircuitSource::Concrete(c) => c.num_qubits(),
             CircuitSource::Template { template, .. } => template.num_qubits(),
+        }
+    }
+
+    /// The executable circuit: the concrete circuit itself, or the
+    /// template freshly bound at `params`, fixed angles included.
+    pub(crate) fn bind(&self) -> Cow<'_, Circuit> {
+        match self {
+            CircuitSource::Concrete(c) => Cow::Borrowed(c),
+            CircuitSource::Template { template, params } => Cow::Owned(template.bind(params)),
         }
     }
 
@@ -364,7 +374,7 @@ impl JobSpec {
     /// [`ghs_core::Capabilities`] envelope cannot serve, with the same typed
     /// [`BackendError`] the backend itself would raise at execution time.
     fn admit(&self) -> Result<(), SubmitError> {
-        let caps = self.backend.capabilities();
+        let caps = self.backend.build().capabilities();
         let backend = self.backend.name();
         let n = self.circuit.num_qubits();
         if n > caps.max_qubits {

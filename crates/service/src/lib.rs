@@ -10,14 +10,15 @@
 //! backend description and a seed — and redeem the returned ticket for a
 //! typed [`JobResult`]. Behind the API:
 //!
-//! * a **structural plan cache** keyed on angle-invariant circuit topology
-//!   ([`ghs_circuit::StructuralKey`]) holding fusion plans, prepared
-//!   observables and sampling distributions, so repeated topologies skip
-//!   planning and preparation entirely ([`cache`]);
+//! * a **structural artifact cache** keyed on backend and angle-invariant
+//!   circuit topology ([`ghs_circuit::StructuralKey`]) holding each
+//!   backend's prepared values (fusion plans, sharded layouts, tableaus),
+//!   prepared observables and sampling distributions, so repeated
+//!   topologies skip planning and preparation entirely ([`cache`]);
 //! * a **work-stealing multi-queue executor**: persistent workers pulling
-//!   from per-submitter lanes round-robin, batching same-template jobs
-//!   through in-place angle rebinding with zero per-job circuit or state
-//!   allocation ([`service`]);
+//!   from per-submitter lanes round-robin, each job running through its
+//!   backend's own prepare/execute path with the cached prepared value
+//!   ([`service`]);
 //! * **backpressure and fairness knobs** — bounded queue, in-flight window,
 //!   per-submitter round-robin — with results that are a pure function of
 //!   each job's spec and seed, bit-identical across worker counts

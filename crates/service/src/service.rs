@@ -1,42 +1,44 @@
 //! The batched job executor: a pool of persistent workers stealing from the
-//! fair multi-queue, executing jobs through the shared plan cache and
-//! per-worker scratch buffers.
+//! fair multi-queue, executing jobs through the shared artifact cache.
 //!
 //! # Determinism
 //!
 //! Every job's output is a pure function of its own [`JobSpec`] (including
-//! its seed) — workers share read-only artifacts (plans, observables,
-//! distributions) but never accumulate state across jobs that could leak
-//! into a result. Scheduling, worker count and cache hits therefore change
-//! *when* a job runs, never *what* it returns: a seeded job stream yields
-//! bit-identical results on one worker, sixteen workers, or with caching
-//! disabled.
+//! its seed) — workers share read-only artifacts (prepared values,
+//! observables, distributions) but never accumulate state across jobs that
+//! could leak into a result. Scheduling, worker count and cache hits
+//! therefore change *when* a job runs, never *what* it returns: a seeded job
+//! stream yields bit-identical results on one worker, sixteen workers, or
+//! with caching disabled.
 //!
-//! # Batching without allocation
+//! # One execution path
 //!
-//! Each worker owns scratch buffers keyed by structural key (bound-circuit
-//! scratch) and register size (state-vector scratch). A stream of
-//! same-template jobs rebinds angles in place via
-//! [`ghs_circuit::ParameterizedCircuit::bind_into`] and resets the state vector in place
-//! via `reset_to_basis`, so steady-state execution allocates only the fused
-//! kernels the plan emits.
+//! The service owns no execution code: each job runs on the backend its
+//! spec builds, through that backend's own entry points. A job binds its
+//! circuit fresh. Gradient and mitigated-expectation jobs then call the
+//! backend once; every other job looks up (or has the backend build) the
+//! cached [`ghs_core::Prepared`] value of its circuit and hands it to
+//! [`Backend::execute`] — the path a direct backend call takes, so cached
+//! and direct results are bit-identical by construction. Basis-initial
+//! sampling jobs check the distribution cache first, so a hit skips
+//! preparation and execution altogether. A job's cost is emission and
+//! sweeps; a fresh bind and a fresh state cost microseconds against them,
+//! and keep workers stateless.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ghs_circuit::{Circuit, StructuralKey};
-use ghs_core::{
-    zero_noise_extrapolation, Backend, BackendError, BackendSpec, DensityMatrixBackend,
-    FusedStatevector, InitialState, PauliNoise, ReferenceStatevector, StabilizerBackend,
-    TrajectoryNoise,
+use ghs_core::{zero_noise_extrapolation, Backend, BackendError, Outcome, Readout};
+use ghs_statevector::CachedDistribution;
+#[cfg(test)]
+use {
+    ghs_core::{BackendSpec, DensityMatrixBackend, InitialState, TrajectoryNoise},
+    ghs_statevector::GroupedPauliSum,
 };
-use ghs_statevector::{CachedDistribution, GroupedPauliSum, ShardedStateVector, StateVector};
 
-use crate::cache::{
-    angle_bits, layout_fingerprint, CacheStats, DistKey, PlanCache, STABILIZER_LAYOUT,
-};
+use crate::cache::{angle_bits, ArtifactKey, CacheStats, PlanCache};
 use crate::job::{CircuitSource, JobId, JobOutput, JobRequest, JobResult, JobSpec, SubmitError};
 use crate::queue::FairQueue;
 
@@ -97,16 +99,6 @@ struct Shared {
     max_in_flight: usize,
 }
 
-/// Per-worker reusable buffers (see the module docs on batching).
-#[derive(Default)]
-struct WorkerScratch {
-    /// Bound-circuit buffer per template topology: `bind_into` rewrites
-    /// angles in place on every job after the first.
-    bound: HashMap<StructuralKey, Circuit>,
-    /// Execution state vector per register size, reset in place per job.
-    states: HashMap<usize, StateVector>,
-}
-
 /// The batched job service (see the crate docs for the full tour).
 ///
 /// ```
@@ -117,8 +109,8 @@ struct WorkerScratch {
 /// use ghs_service::{JobOutput, JobSpec, Service, ServiceConfig};
 ///
 /// // E(θ) = ⟨0|RY(θ)† Z RY(θ)|0⟩ = cos θ, evaluated as a job stream: the
-/// // template and observable are planned/prepared once, every further
-/// // binding rebinds angles in place and reuses the cached artifacts.
+/// // template and observable are prepared once, every further binding
+/// // reuses the cached artifacts.
 /// let mut ansatz = ParameterizedCircuit::new(1, 1);
 /// ansatz.ry_p(0, 0, 1.0);
 /// let ansatz = Arc::new(ansatz);
@@ -294,7 +286,6 @@ impl Drop for Service {
 }
 
 fn worker_loop(shared: &Shared) {
-    let mut scratch = WorkerScratch::default();
     loop {
         let (id, spec) = {
             let mut q = shared.queue.lock().unwrap();
@@ -314,16 +305,14 @@ fn worker_loop(shared: &Shared) {
 
         // A panicking job must not take the worker down (the pool would
         // silently shrink) or leave waiters blocked forever: catch the
-        // unwind and report it as a typed failure. The only state the
-        // closure can tear is the worker-local scratch, which is dropped
-        // and rebuilt below — shared caches only ever mutate under their
-        // own short locks, which recover from poisoning (see
+        // unwind and report it as a typed failure. Workers hold no state of
+        // their own, and the shared caches only ever mutate under their own
+        // short locks, which recover from poisoning (see
         // `cache::lock_recover`).
         let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(&shared.cache, &mut scratch, &spec)
+            run_job(&shared.cache, &spec)
         }))
         .unwrap_or_else(|payload| {
-            scratch = WorkerScratch::default();
             let detail = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -344,433 +333,123 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Resolves the job's circuit into an executable `&Circuit`, rebinding
-/// templates into the worker's per-topology scratch buffer (in place after
-/// the first job on a topology).
-fn resolve_circuit<'a>(
-    bound: &'a mut HashMap<StructuralKey, Circuit>,
-    source: &'a CircuitSource,
-    key: StructuralKey,
-) -> &'a Circuit {
-    match source {
-        CircuitSource::Concrete(c) => c,
-        CircuitSource::Template { template, params } => {
-            let buf = bound.entry(key).or_insert_with(|| Circuit::new(0));
-            template.bind_into(params, buf);
-            buf
-        }
-    }
-}
-
-/// In-place reset of the register-sized scratch state to the job's initial
-/// state (basis reset for symbolic initials, a buffer copy for dense ones).
-fn reset_state<'a>(
-    states: &'a mut HashMap<usize, StateVector>,
-    n: usize,
-    initial: &InitialState,
-) -> &'a mut StateVector {
-    let state = states
-        .entry(n)
-        .or_insert_with(|| StateVector::zero_state(n));
-    match initial {
-        InitialState::ZeroState => state.reset_to_basis(0),
-        InitialState::Basis(index) => state.reset_to_basis(*index),
-        InitialState::Dense(dense) => state.clone_from(dense),
-    }
-    state
-}
-
-fn run_job(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> JobOutput {
-    // Mitigated expectations drive the *whole* backend (folded circuits at
-    // several noise scales) rather than a single evolution, so they bypass
-    // the per-backend fast paths and go through the trait object uniformly.
-    if let JobRequest::MitigatedExpectation { .. } = &spec.request {
-        return run_mitigated(cache, scratch, spec);
-    }
-    match &spec.backend {
-        BackendSpec::Fused => run_fused(cache, scratch, spec),
-        BackendSpec::Sharded => run_sharded(cache, scratch, spec),
-        BackendSpec::Reference => run_generic(&ReferenceStatevector, cache, scratch, spec),
-        BackendSpec::Stabilizer => run_stabilizer(cache, scratch, spec),
-        BackendSpec::Noisy {
-            depolarizing,
-            dephasing,
-            trajectories,
-            seed,
-        } => run_generic(
-            &PauliNoise {
-                depolarizing: *depolarizing,
-                dephasing: *dephasing,
-                trajectories: *trajectories,
-                seed: *seed,
-            },
-            cache,
-            scratch,
-            spec,
-        ),
-        BackendSpec::Trajectory {
-            model,
-            trajectories,
-            seed,
-        } => run_generic(
-            &TrajectoryNoise::new(model.clone(), *trajectories, *seed),
-            cache,
-            scratch,
-            spec,
-        ),
-        BackendSpec::Density { model } => run_generic(
-            &DensityMatrixBackend::new(model.clone()),
-            cache,
-            scratch,
-            spec,
-        ),
-    }
-}
-
-/// Zero-noise-extrapolated expectation through whichever backend the spec
-/// selects: resolve/rebind the circuit once, then let
-/// [`ghs_core::mitigation`] fold and measure it at every noise scale.
-fn run_mitigated(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> JobOutput {
-    let JobRequest::MitigatedExpectation {
-        observable,
-        lambdas,
-        method,
-    } = &spec.request
-    else {
-        unreachable!("dispatched on the request kind");
-    };
-    let key = spec.circuit.structural_key();
-    let circuit = resolve_circuit(&mut scratch.bound, &spec.circuit, key);
-    let grouped = cache.observable(observable);
+/// Runs one job on the backend its spec builds. Typed backend failures
+/// become [`JobOutput::Failed`] instead of unwinding a worker.
+fn run_job(cache: &PlanCache, spec: &JobSpec) -> JobOutput {
     let backend = spec.backend.build();
-    match zero_noise_extrapolation(
-        &*backend,
-        &spec.initial,
-        circuit,
-        &grouped,
-        lambdas,
-        *method,
-    ) {
-        Ok(result) => JobOutput::MitigatedExpectation {
-            mitigated: result.mitigated,
-            raw: result.raw(),
-            energies: result.energies,
-        },
-        Err(err) => JobOutput::Failed(err),
-    }
-}
-
-/// The fused fast path: cached structural plan + in-place rebinding + shared
-/// distribution cache. This is where warm-cache throughput comes from.
-fn run_fused(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> JobOutput {
-    let n = spec.circuit.num_qubits();
-    let key = spec.circuit.structural_key();
-    let WorkerScratch { bound, states } = scratch;
-
-    // Gradients never run a plain forward pass: the adjoint engine owns the
-    // whole sweep (and reuses the template's own cached plan internally).
-    if let JobRequest::Gradient { observable } = &spec.request {
-        let (template, params) = match &spec.circuit {
-            CircuitSource::Template { template, params } => (template, params),
-            CircuitSource::Concrete(_) => unreachable!("validated at submission"),
-        };
-        let grouped = cache.observable(observable);
-        return match FusedStatevector.expectation_gradient(
-            &spec.initial,
-            template,
-            params,
-            &grouped,
-        ) {
-            Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
-            Err(err) => JobOutput::Failed(err),
-        };
-    }
-
-    let circuit = resolve_circuit(bound, &spec.circuit, key);
-
-    // Sampling first checks the distribution cache: a hit skips planning,
-    // emission and the state-vector sweep entirely and draws shots straight
-    // from the cached alias table. The seed still drives the draw, so
-    // repeated jobs with distinct seeds give independent, deterministic
-    // streams. Dense initial states have no compact cache identity and skip
-    // the distribution cache.
-    if let JobRequest::Sample { shots } = spec.request {
-        if let Some(initial_index) = spec.initial.basis_index() {
-            let dkey = DistKey {
-                key,
-                initial: initial_index,
-                angles: angle_bits(circuit),
-                layout: 0,
-            };
-            if let Some(dist) = cache.distribution(&dkey) {
-                return JobOutput::Shots(dist.sample_seeded(shots, spec.seed));
-            }
-            let state = execute_fused(cache, states, circuit, key, n, &spec.initial);
-            let dist = Arc::new(CachedDistribution::from_state(state));
-            cache.store_distribution(dkey, dist.clone());
-            return JobOutput::Shots(dist.sample_seeded(shots, spec.seed));
-        }
-        let state = execute_fused(cache, states, circuit, key, n, &spec.initial);
-        let dist = CachedDistribution::from_state(state);
-        return JobOutput::Shots(dist.sample_seeded(shots, spec.seed));
-    }
-
-    let state = execute_fused(cache, states, circuit, key, n, &spec.initial);
-    match &spec.request {
-        JobRequest::Expectation { observable } => {
-            let grouped = cache.observable(observable);
-            JobOutput::Expectation(state.expectation_grouped(&grouped).re)
-        }
-        JobRequest::Probabilities => {
-            JobOutput::Probabilities(state.amplitudes().iter().map(|a| a.norm_sqr()).collect())
-        }
-        JobRequest::Sample { .. }
-        | JobRequest::Gradient { .. }
-        | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("handled above")
-        }
-    }
-}
-
-/// Plan (cached) → emit → apply onto the in-place-reset scratch state.
-///
-/// Shares `run_fused`'s crossover: below [`FUSED_MIN_DIM`] amplitudes the
-/// fusion pass costs more than the per-gate sweep it replaces, so tiny
-/// registers skip the plan cache and apply the circuit directly — keeping
-/// service results bit-identical to the `FusedStatevector` backend at every
-/// register size.
-fn execute_fused<'a>(
-    cache: &PlanCache,
-    states: &'a mut HashMap<usize, StateVector>,
-    circuit: &Circuit,
-    key: StructuralKey,
-    n: usize,
-    initial: &InitialState,
-) -> &'a StateVector {
-    let state = reset_state(states, n, initial);
-    if state.dim() >= ghs_statevector::fused::FUSED_MIN_DIM {
-        let plan = cache.plan(circuit, key);
-        let fused = plan.emit(circuit);
-        state.apply_fused(&fused);
-    } else {
-        state.run_unfused(circuit);
-    }
-    state
-}
-
-/// The sharded fast path: cached structural plan **and cached qubit
-/// relabeling** + in-place template rebinding + shared distribution cache,
-/// executed through [`ShardedStateVector`]. Mirrors [`run_fused`]; the
-/// distribution cache keys include the execution layout (shard count +
-/// relabeling) via [`layout_fingerprint`], so flat and sharded entries for
-/// the same circuit never alias. Results are bit-identical to the flat path
-/// for every shard count — the layout key pins cache provenance, not
-/// output values.
-fn run_sharded(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> JobOutput {
-    let n = spec.circuit.num_qubits();
-    let key = spec.circuit.structural_key();
-    let WorkerScratch { bound, .. } = scratch;
-
-    // Gradients go through the flat adjoint engine: its forward/reverse
-    // sweeps and masked inner products are layout-independent, and gradient
-    // workloads live well below the sharding crossover.
-    if let JobRequest::Gradient { observable } = &spec.request {
-        let (template, params) = match &spec.circuit {
-            CircuitSource::Template { template, params } => (template, params),
-            CircuitSource::Concrete(_) => unreachable!("validated at submission"),
-        };
-        let grouped = cache.observable(observable);
-        return match FusedStatevector.expectation_gradient(
-            &spec.initial,
-            template,
-            params,
-            &grouped,
-        ) {
-            Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
-            Err(err) => JobOutput::Failed(err),
-        };
-    }
-
-    let circuit = resolve_circuit(bound, &spec.circuit, key);
-    let sharded_initial = |n: usize| match &spec.initial {
-        InitialState::ZeroState => ShardedStateVector::basis_state(n, 0),
-        InitialState::Basis(index) => ShardedStateVector::basis_state(n, *index),
-        InitialState::Dense(dense) => ShardedStateVector::from_state(dense),
-    };
-    let execute = |cache: &PlanCache| -> StateVector {
-        let plan = cache.plan(circuit, key);
-        let fused = plan.emit(circuit);
-        let relabeling = cache.sharding_relabeling(&fused, key);
-        let mut state = sharded_initial(n);
-        state.run_fused_with(&fused, &relabeling);
-        state.to_state()
-    };
-
-    if let JobRequest::Sample { shots } = spec.request {
-        // Dense initial states skip the distribution cache (no compact
-        // cache identity); symbolic ones share alias tables as before.
-        if let Some(initial_index) = spec.initial.basis_index() {
-            let plan = cache.plan(circuit, key);
-            let fused = plan.emit(circuit);
-            let relabeling = cache.sharding_relabeling(&fused, key);
-            let dkey = DistKey {
-                key,
-                initial: initial_index,
-                angles: angle_bits(circuit),
-                layout: layout_fingerprint(ghs_statevector::shard_count_for(n), &relabeling),
-            };
-            if let Some(dist) = cache.distribution(&dkey) {
-                return JobOutput::Shots(dist.sample_seeded(shots, spec.seed));
-            }
-            let mut state = sharded_initial(n);
-            state.run_fused_with(&fused, &relabeling);
-            let dist = Arc::new(CachedDistribution::from_state(&state.to_state()));
-            cache.store_distribution(dkey, dist.clone());
-            return JobOutput::Shots(dist.sample_seeded(shots, spec.seed));
-        }
-        let dist = CachedDistribution::from_state(&execute(cache));
-        return JobOutput::Shots(dist.sample_seeded(shots, spec.seed));
-    }
-
-    let state = execute(cache);
-    match &spec.request {
-        JobRequest::Expectation { observable } => {
-            let grouped = cache.observable(observable);
-            JobOutput::Expectation(state.expectation_grouped(&grouped).re)
-        }
-        JobRequest::Probabilities => {
-            JobOutput::Probabilities(state.amplitudes().iter().map(|a| a.norm_sqr()).collect())
-        }
-        JobRequest::Sample { .. }
-        | JobRequest::Gradient { .. }
-        | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("handled above")
-        }
-    }
-}
-
-/// The generic path for non-fused backends: same template rebinding and
-/// observable caching, execution through the [`Backend`] trait. Typed
-/// backend failures become [`JobOutput::Failed`] instead of unwinding a
-/// worker.
-fn run_generic(
-    backend: &impl Backend,
-    cache: &PlanCache,
-    scratch: &mut WorkerScratch,
-    spec: &JobSpec,
-) -> JobOutput {
-    let key = spec.circuit.structural_key();
-    let WorkerScratch { bound, .. } = scratch;
-
-    if let JobRequest::Gradient { observable } = &spec.request {
-        let (template, params) = match &spec.circuit {
-            CircuitSource::Template { template, params } => (template, params),
-            CircuitSource::Concrete(_) => unreachable!("validated at submission"),
-        };
-        let grouped = cache.observable(observable);
-        return match backend.expectation_gradient(&spec.initial, template, params, &grouped) {
-            Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
-            Err(err) => JobOutput::Failed(err),
-        };
-    }
-
-    let circuit = resolve_circuit(bound, &spec.circuit, key);
     let result = match &spec.request {
-        JobRequest::Expectation { observable } => {
+        JobRequest::Gradient { observable } => {
+            let CircuitSource::Template { template, params } = &spec.circuit else {
+                unreachable!("validated at submission");
+            };
             let grouped = cache.observable(observable);
             backend
-                .expectation(&spec.initial, circuit, &grouped)
-                .map(JobOutput::Expectation)
+                .expectation_gradient(&spec.initial, template, params, &grouped)
+                .map(|(energy, gradient)| JobOutput::Gradient { energy, gradient })
         }
-        JobRequest::Sample { shots } => backend
-            .sample(&spec.initial, circuit, *shots, spec.seed)
-            .map(JobOutput::Shots),
-        JobRequest::Probabilities => backend
-            .probabilities(&spec.initial, circuit)
-            .map(JobOutput::Probabilities),
-        JobRequest::Gradient { .. } | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("handled above")
+        // Mitigation drives the whole backend: folded circuits at several
+        // noise scales, each measured through the backend's entry points.
+        JobRequest::MitigatedExpectation {
+            observable,
+            lambdas,
+            method,
+        } => {
+            let grouped = cache.observable(observable);
+            let circuit = spec.circuit.bind();
+            zero_noise_extrapolation(
+                &*backend,
+                &spec.initial,
+                &circuit,
+                &grouped,
+                lambdas,
+                *method,
+            )
+            .map(|result| JobOutput::MitigatedExpectation {
+                mitigated: result.mitigated,
+                raw: result.raw(),
+                energies: result.energies,
+            })
         }
+        _ => execute(cache, spec, &*backend),
     };
     result.unwrap_or_else(JobOutput::Failed)
 }
 
-/// The stabilizer path: the Clifford circuit is conjugated into a tableau
-/// **once per (structure, initial, angles)** and cached ([`PlanCache`]'s
-/// tableau map); every sampling job then goes straight to per-shot collapse
-/// of tableau clones on derived RNG streams. Registers that fit a machine
-/// word report shots as dense indices (comparable with the dense backends);
-/// wider registers report packed [`JobOutput::BitShots`]. Admission has
-/// already rejected everything the capability vocabulary describes, so the
-/// remaining failure modes (none today) would land in
-/// [`JobOutput::Failed`].
-fn run_stabilizer(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> JobOutput {
-    let backend = StabilizerBackend;
-    let n = spec.circuit.num_qubits();
-    let key = spec.circuit.structural_key();
-    let WorkerScratch { bound, .. } = scratch;
-    let circuit = resolve_circuit(bound, &spec.circuit, key);
-
-    let tableau = {
-        let initial_index = spec
-            .initial
+/// The path of every expectation, sampling and probability job: bind, check
+/// the distribution cache (basis-initial samples only), look up or build
+/// the prepared value, execute.
+fn execute(
+    cache: &PlanCache,
+    spec: &JobSpec,
+    backend: &dyn Backend,
+) -> Result<JobOutput, BackendError> {
+    let circuit = spec.circuit.bind();
+    let initial = &spec.initial;
+    let structure = spec.circuit.structural_key();
+    let key = |execution| ArtifactKey {
+        backend: spec.backend.clone(),
+        structure,
+        execution,
+    };
+    // Dense initial states have no compact cache identity: they skip every
+    // cache keyed by the execution.
+    let execution = || {
+        initial
             .basis_index()
-            .expect("dense initials are rejected at admission");
-        let tkey = DistKey {
-            key,
-            initial: initial_index,
-            angles: angle_bits(circuit),
-            layout: STABILIZER_LAYOUT,
-        };
-        match cache.tableau(&tkey) {
-            Some(t) => t,
-            None => {
-                let t = match backend.prepare(&spec.initial, circuit) {
-                    Ok(t) => Arc::new(t),
-                    Err(err) => return JobOutput::Failed(err),
-                };
-                cache.store_tableau(tkey, t.clone());
-                t
-            }
+            .map(|index| (index, angle_bits(&circuit)))
+    };
+    let prepare = || {
+        let build = || backend.prepare(initial, &circuit);
+        if !backend.prepares_state() {
+            cache.prepared(key(None), build)
+        } else if let Some(execution) = execution() {
+            cache.prepared(key(Some(execution)), build)
+        } else {
+            build().map(Arc::new)
         }
     };
 
-    match &spec.request {
-        JobRequest::Sample { shots } => {
-            let bits = StabilizerBackend::sample_prepared(&tableau, *shots, spec.seed);
-            if n <= usize::BITS as usize {
-                JobOutput::Shots(
-                    bits.iter()
-                        .map(|b| b.to_index().expect("register fits a machine word"))
-                        .collect(),
-                )
-            } else {
-                JobOutput::BitShots(bits)
-            }
-        }
-        JobRequest::Expectation { observable } => {
-            let grouped = cache.observable(observable);
-            JobOutput::Expectation(tableau_expectation(&tableau, &grouped))
-        }
-        JobRequest::Probabilities => JobOutput::Probabilities(tableau.basis_probabilities()),
-        JobRequest::Gradient { .. } | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("rejected at admission or handled above")
+    // The seed drives only the draw, so repeated jobs with distinct seeds
+    // share one alias table and still get independent, deterministic
+    // streams.
+    if let JobRequest::Sample { shots } = spec.request {
+        if let (false, Some(execution)) = (backend.prepares_state(), execution()) {
+            let dist = cache.distribution(key(Some(execution)), || {
+                match backend.execute(&*prepare()?, initial, &circuit, Readout::Probabilities)? {
+                    Outcome::Probabilities(probs) => {
+                        Ok(CachedDistribution::from_probabilities(probs))
+                    }
+                    other => unreachable!("a probability readout answered with {other:?}"),
+                }
+            })?;
+            return Ok(JobOutput::Shots(dist.sample_seeded(shots, spec.seed)));
         }
     }
-}
 
-/// Pauli-sum expectation read off a prepared tableau (each string is exactly
-/// `0` or `±1`) — the cached-tableau twin of the stabilizer backend's
-/// `expectation` entry point.
-fn tableau_expectation(
-    tableau: &ghs_stabilizer::StabilizerState,
-    grouped: &GroupedPauliSum,
-) -> f64 {
-    let mut acc = ghs_math::Complex64::ZERO;
-    for (coeff, x_mask, z_mask) in grouped.string_masks() {
-        acc += coeff * tableau.expectation_dense_masks(x_mask, z_mask);
-    }
-    acc.re
+    let grouped;
+    let readout = match &spec.request {
+        JobRequest::Expectation { observable } => {
+            grouped = cache.observable(observable);
+            Readout::Expectation(&grouped)
+        }
+        JobRequest::Sample { shots } => Readout::Shots {
+            shots: *shots,
+            seed: spec.seed,
+        },
+        JobRequest::Probabilities => Readout::Probabilities,
+        JobRequest::Gradient { .. } | JobRequest::MitigatedExpectation { .. } => {
+            unreachable!("run by `run_job`")
+        }
+    };
+    Ok(
+        match backend.execute(&*prepare()?, initial, &circuit, readout)? {
+            Outcome::Value(energy) => JobOutput::Expectation(energy),
+            Outcome::Probabilities(probs) => JobOutput::Probabilities(probs),
+            Outcome::Shots(shots) => JobOutput::Shots(shots),
+            Outcome::BitShots(bits) => JobOutput::BitShots(bits),
+            Outcome::State(_) => unreachable!("no job reads the dense state"),
+        },
+    )
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@ use rayon::prelude::*;
 /// State dimension below which [`StateVector::run_fused`] falls back to the
 /// per-gate path: fusing costs more than it saves on tiny registers. Shared
 /// with the adjoint gradient engine (whose forward sweep makes the same
-/// crossover choice) and the job service's executor, which must stay
+/// crossover choice) and with the fused backend's `prepare`, which plans
+/// only registers at or above it, so a prepared execution stays
 /// bit-identical to `run_fused` at every register size.
 pub const FUSED_MIN_DIM: usize = 1 << 10;
 

@@ -79,15 +79,6 @@ impl StateVector {
         Self { num_qubits, amps }
     }
 
-    /// Resets the state to the computational-basis state `|index⟩` **in
-    /// place**, reusing the existing amplitude buffer. This is the batched
-    /// execution path's reset between jobs: no allocation, one linear sweep.
-    pub fn reset_to_basis(&mut self, index: usize) {
-        assert!(index < self.amps.len(), "basis index out of range");
-        self.amps.fill(Complex64::ZERO);
-        self.amps[index] = Complex64::ONE;
-    }
-
     /// Builds a state from raw amplitudes (normalising is the caller's
     /// responsibility; use [`StateVector::normalize`] if needed).
     pub fn from_amplitudes(num_qubits: usize, amps: Vec<Complex64>) -> Self {

@@ -303,3 +303,113 @@ fn concurrent_submit_storm_is_bit_identical_to_serial_execution() {
         );
     }
 }
+
+/// Two templates with one structure (hence one structural key) that differ
+/// only in a fixed `Ry` angle: each job runs with its own template's fixed
+/// angle, on every dense backend, even when the second follows the first on
+/// the same worker.
+#[test]
+fn same_structure_templates_keep_their_own_fixed_angles() {
+    use gate_efficient_hs::circuit::{Gate, ParameterizedCircuit};
+    use gate_efficient_hs::core::backend::BackendSpec;
+    use gate_efficient_hs::statevector::GroupedPauliSum;
+
+    let template = |fixed: f64| {
+        let mut pc = ParameterizedCircuit::new(3, 1);
+        pc.push_fixed(Gate::Ry {
+            qubit: 0,
+            theta: fixed,
+        });
+        pc.cx_fixed(0, 1).ry_p(2, 0, 1.0).cx_fixed(1, 2);
+        Arc::new(pc)
+    };
+    let (a, b) = (template(0.3), template(1.9));
+    assert_eq!(a.structural_key(), b.structural_key());
+    let observable = Arc::new(random_pauli_sum(3, 6, PauliSumKind::Mixed, 21));
+    let grouped = GroupedPauliSum::new(&observable);
+    let params = vec![0.7];
+    let zero = InitialState::ZeroState;
+
+    for spec in [
+        BackendSpec::Fused,
+        BackendSpec::Sharded,
+        BackendSpec::Reference,
+    ] {
+        let backend = spec.build();
+        let service = Service::new(ServiceConfig::serial());
+        for template in [&a, &b] {
+            let bound = template.bind(&params);
+            let source = (template.clone(), params.clone());
+            let jobs = [
+                JobSpec::expectation(source.clone(), observable.clone()).on_backend(spec.clone()),
+                JobSpec::probabilities(source).on_backend(spec.clone()),
+            ];
+            let results = service.run_batch(&jobs).expect("valid jobs");
+
+            let JobOutput::Expectation(energy) = results[0].output else {
+                panic!("wrong output kind: {:?}", results[0].output);
+            };
+            let direct = backend.expectation(&zero, &bound, &grouped).unwrap();
+            assert!(
+                (energy - direct).abs() < 1e-12,
+                "{}: service {energy} vs direct {direct}",
+                spec.name()
+            );
+
+            let JobOutput::Probabilities(probs) = &results[1].output else {
+                panic!("wrong output kind: {:?}", results[1].output);
+            };
+            let direct = backend.probabilities(&zero, &bound).unwrap();
+            for (p, q) in probs.iter().zip(&direct) {
+                assert!((p - q).abs() < 1e-12, "{}: {p} vs {q}", spec.name());
+            }
+        }
+    }
+}
+
+/// A default-backend job at `SHARDED_MIN_QUBITS` takes the fused backend's
+/// crossover to the sharded engine: bit-identical to the direct call, and
+/// visible as relabeling traffic in the cache ledger.
+#[test]
+fn fused_jobs_take_the_sharded_crossover() {
+    use gate_efficient_hs::operators::{PauliString, PauliSum};
+    use gate_efficient_hs::statevector::{GroupedPauliSum, SHARDED_MIN_QUBITS};
+
+    let n = SHARDED_MIN_QUBITS;
+    let mut circuit = Circuit::new(n);
+    circuit.h(0).cx(0, n - 1).ry(n / 2, 0.4).cz(n / 2, 1);
+    let circuit = Arc::new(circuit);
+    let mut observable = PauliSum::zero(n);
+    let zz: String = (0..n)
+        .map(|q| if q == 0 || q == n - 1 { 'Z' } else { 'I' })
+        .collect();
+    observable.push(
+        gate_efficient_hs::math::c64(1.0, 0.0),
+        PauliString::parse(&zz).unwrap(),
+    );
+    let x: String = (0..n).map(|q| if q == n / 2 { 'X' } else { 'I' }).collect();
+    observable.push(
+        gate_efficient_hs::math::c64(0.5, 0.0),
+        PauliString::parse(&x).unwrap(),
+    );
+    let observable = Arc::new(observable);
+
+    let service = Service::new(ServiceConfig::serial());
+    let job = JobSpec::expectation(circuit.clone(), observable.clone());
+    let JobOutput::Expectation(energy) = service.wait(service.submit(job).unwrap()).output else {
+        panic!("wrong output kind");
+    };
+    let direct = FusedStatevector
+        .expectation(
+            &InitialState::ZeroState,
+            &circuit,
+            &GroupedPauliSum::new(&observable),
+        )
+        .unwrap();
+    assert_eq!(energy.to_bits(), direct.to_bits(), "{energy} vs {direct}");
+    let stats = service.cache_stats();
+    assert!(
+        stats.relabeling_misses > 0,
+        "no relabeling traffic: {stats:?}"
+    );
+}
