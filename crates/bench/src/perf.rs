@@ -31,7 +31,7 @@ use ghs_chemistry::{h2_sto3g, uccsd_circuit, uccsd_pool};
 use ghs_circuit::{exchange_count, Circuit, ParameterizedCircuit, QubitRelabeling};
 use ghs_core::backend::{
     parameter_shift_gradient, Backend, DensityMatrixBackend, FusedStatevector, InitialState,
-    PauliNoise, StabilizerBackend, TrajectoryNoise,
+    StabilizerBackend, TrajectoryNoise,
 };
 use ghs_core::{direct_product_formula, direct_term_circuit, DirectOptions, ProductFormula};
 use ghs_hubo::{
@@ -684,14 +684,15 @@ pub fn run_workload(w: &Workload, reps: usize) -> WorkloadResult {
             shots,
             depolarizing,
         } => {
-            let (trajectories, shots, depolarizing) = (*trajectories, *shots, *depolarizing);
+            let (trajectories, shots) = (*trajectories, *shots);
+            let model = NoiseModel::pauli(*depolarizing, 0.0);
             let zero = InitialState::ZeroState;
             let unfused_ms = time_best(reps, || {
                 // Oracle: every shot re-executes the circuit as a fresh
                 // noise trajectory and draws one outcome from it.
                 let mut acc = 0usize;
                 for shot in 0..shots {
-                    let one = PauliNoise::depolarizing(depolarizing, 1, shot as u64);
+                    let one = TrajectoryNoise::new(model.clone(), 1, shot as u64);
                     let state = one
                         .run(&zero, &w.circuit)
                         .expect("noise circuits are dense");
@@ -700,7 +701,7 @@ pub fn run_workload(w: &Workload, reps: usize) -> WorkloadResult {
                 }
                 std::hint::black_box(acc);
             });
-            let batched = PauliNoise::depolarizing(depolarizing, trajectories, 0);
+            let batched = TrajectoryNoise::new(model, trajectories, 0);
             let fused_ms = time_best(reps, || {
                 let shots = batched
                     .sample(&zero, &w.circuit, shots, 1)

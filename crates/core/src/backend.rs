@@ -7,7 +7,7 @@
 //! and the application layers (`measurement`, `trotter`, `ghs_hubo`,
 //! `ghs_chemistry`, the benchmark binaries) are written against the trait.
 //!
-//! Seven backends ship today:
+//! Six backends ship today:
 //!
 //! * [`FusedStatevector`] — the production dense path: gate fusion +
 //!   specialized kernels (PR 2), exact to machine precision. Above
@@ -19,14 +19,10 @@
 //!   cache-hot ([`ghs_statevector::ShardedStateVector`]);
 //! * [`ReferenceStatevector`] — one sweep per gate, the slow oracle the
 //!   property tests compare everything against;
-//! * [`PauliNoise`] — stochastic Pauli-noise trajectories (per-gate
-//!   depolarizing and dephasing channels), seeded and averaged over a
-//!   trajectory batch;
-//! * [`TrajectoryNoise`] — the generalization of [`PauliNoise`] to
-//!   arbitrary Kraus channels through a
-//!   [`NoiseModel`]: Pauli channels keep
-//!   the cheap mask path, general channels do norm-weighted Kraus selection
-//!   per trajectory;
+//! * [`TrajectoryNoise`] — seeded noise trajectories under a
+//!   [`NoiseModel`] of Kraus channels, averaged over a trajectory batch:
+//!   Pauli channels (depolarizing, dephasing) take the cheap mask path,
+//!   general channels do norm-weighted Kraus selection per trajectory;
 //! * [`DensityMatrixBackend`] — the exact noise oracle: evolves the full
 //!   density matrix under the same `NoiseModel` via superoperator
 //!   application of fused blocks, capped at
@@ -929,199 +925,24 @@ impl StatevectorEngine for ReferenceStatevector {
     }
 }
 
-/// Stochastic Pauli-noise trajectory backend.
-///
-/// After every gate, each qubit in the gate's support is hit independently
-/// by two classical error channels:
-///
-/// * **depolarizing** — with probability `depolarizing`, a uniformly random
-///   Pauli (`X`, `Y` or `Z`) is applied;
-/// * **dephasing** — with probability `dephasing`, a `Z` is applied.
-///
-/// One run of the circuit under one realisation of those coin flips is a
-/// *trajectory*; ensemble quantities ([`Backend::probabilities`],
-/// [`Backend::expectation`], [`Backend::sample`]) average `trajectories`
-/// seeded trajectories. Trajectory `t` derives its RNG stream from
-/// `(seed, t)` only, so every ensemble quantity is deterministic for a fixed
-/// configuration.
-///
-/// At zero noise strength no RNG is consumed and each trajectory degenerates
-/// to the per-gate reference path, so the backend agrees with
-/// [`ReferenceStatevector`] exactly and with [`FusedStatevector`] to
-/// `1e-12` (a property test enforces this).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PauliNoise {
-    /// Per-qubit probability of a uniformly random Pauli after each gate.
-    pub depolarizing: f64,
-    /// Per-qubit probability of an extra `Z` after each gate.
-    pub dephasing: f64,
-    /// Number of trajectories averaged by the ensemble entry points.
-    pub trajectories: usize,
-    /// Master seed; trajectory `t` uses the stream derived from `(seed, t)`.
-    pub seed: u64,
-}
-
-impl PauliNoise {
-    /// A depolarizing-only channel of strength `p` averaged over
-    /// `trajectories` trajectories.
-    pub fn depolarizing(p: f64, trajectories: usize, seed: u64) -> Self {
-        Self {
-            depolarizing: p,
-            dephasing: 0.0,
-            trajectories,
-            seed,
-        }
-    }
-
-    /// A dephasing-only channel of strength `p` averaged over
-    /// `trajectories` trajectories.
-    pub fn dephasing(p: f64, trajectories: usize, seed: u64) -> Self {
-        Self {
-            depolarizing: 0.0,
-            dephasing: p,
-            trajectories,
-            seed,
-        }
-    }
-
-    /// Number of trajectories, never below one. At zero noise strength every
-    /// trajectory is the same RNG-free sweep, so the ensemble collapses to a
-    /// single simulation (identical result, `1/trajectories` the cost).
-    fn ensemble(&self) -> usize {
-        if self.depolarizing <= 0.0 && self.dephasing <= 0.0 {
-            1
-        } else {
-            self.trajectories.max(1)
-        }
-    }
-
-    /// Runs one noise trajectory: gates applied one by one, error channels
-    /// sampled per gate-support qubit from the trajectory's own stream.
-    ///
-    /// The domain tag keeps trajectory streams disjoint from the shot-chunk
-    /// streams of [`CachedDistribution::sample_seeded`] even when a caller
-    /// passes the same value as backend seed and sampling seed — otherwise
-    /// the coin flips that shaped trajectory `k`'s noise would reappear as
-    /// the draws of shot chunk `k`, correlating shots with the ensemble they
-    /// sample from.
-    fn trajectory(&self, initial: &StateVector, circuit: &Circuit, index: usize) -> StateVector {
-        let mut rng =
-            StdRng::seed_from_u64(derive_stream_seed(self.seed ^ TRAJECTORY_DOMAIN, index));
-        let mut s = initial.clone();
-        for gate in circuit.gates() {
-            s.apply_gate(gate);
-            for q in gate.qubits() {
-                // The `> 0.0` guards keep the zero-noise backend RNG-free,
-                // hence exactly equal to the reference path.
-                if self.depolarizing > 0.0 && rng.gen_bool(self.depolarizing) {
-                    let pauli = match rng.gen_range(0..3u32) {
-                        0 => Gate::X(q),
-                        1 => Gate::Y(q),
-                        _ => Gate::Z(q),
-                    };
-                    s.apply_gate(&pauli);
-                }
-                if self.dephasing > 0.0 && rng.gen_bool(self.dephasing) {
-                    s.apply_gate(&Gate::Z(q));
-                }
-            }
-        }
-        s
-    }
-}
-
-impl Backend for PauliNoise {
-    fn name(&self) -> &'static str {
-        "pauli-noise-trajectories"
-    }
-
-    /// A statevector envelope with the stochastic flag raised: every output
-    /// is a seeded trajectory-ensemble average.
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: true,
-            ..Capabilities::statevector()
-        }
-    }
-
-    /// At zero noise strength the single trajectory is the RNG-free
-    /// per-gate reference sweep, so every readout matches
-    /// [`ReferenceStatevector`]'s **bit-exactly** (a regression test
-    /// enforces this).
-    fn execute(
-        &self,
-        _prepared: &Prepared,
-        initial: &InitialState,
-        circuit: &Circuit,
-        readout: Readout<'_>,
-    ) -> Result<Outcome, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        Ok(read_ensemble(
-            self.ensemble(),
-            init.dim(),
-            readout,
-            |index| self.trajectory(&init, circuit, index),
-        ))
-    }
-}
-
-/// Reads `readout` off a seeded ensemble of `t` trajectories over a
-/// `dim`-amplitude register: [`Readout::State`] is trajectory 0, every other
-/// readout averages the whole ensemble in trajectory order (shots are drawn
-/// from the averaged distribution).
-fn read_ensemble(
-    t: usize,
-    dim: usize,
-    readout: Readout<'_>,
-    trajectory: impl Fn(usize) -> StateVector,
-) -> Outcome {
-    let mean = |value: &dyn Fn(&StateVector) -> f64| {
-        (0..t).map(|index| value(&trajectory(index))).sum::<f64>() / t as f64
-    };
-    match readout {
-        Readout::State => Outcome::State(trajectory(0)),
-        Readout::Expectation(observable) => {
-            Outcome::Value(mean(&|s| s.expectation_grouped(observable).re))
-        }
-        Readout::SparseExpectation(observable) => {
-            Outcome::Value(mean(&|s| s.expectation_sparse(observable).re))
-        }
-        Readout::Probabilities | Readout::Shots { .. } => {
-            let mut acc = vec![0.0f64; dim];
-            for index in 0..t {
-                let state = trajectory(index);
-                for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
-                    *a += amp.norm_sqr();
-                }
-            }
-            let inv = 1.0 / t as f64;
-            for a in &mut acc {
-                *a *= inv;
-            }
-            read_probabilities(acc, readout)
-        }
-    }
-}
-
-/// Domain tag of the noise-trajectory RNG streams, shared by [`PauliNoise`]
-/// and [`TrajectoryNoise`] so a Pauli model expressed either way draws the
-/// same coin flips. It keeps trajectory streams disjoint from the shot-chunk
-/// streams of [`CachedDistribution::sample_seeded`] even when a caller
-/// passes the same value as backend seed and sampling seed.
+/// Domain tag of the noise-trajectory RNG streams. It keeps trajectory
+/// streams disjoint from the shot-chunk streams of
+/// [`CachedDistribution::sample_seeded`] even when a caller passes the same
+/// value as backend seed and sampling seed — otherwise the coin flips that
+/// shaped trajectory `k`'s noise would reappear as the draws of shot chunk
+/// `k`, correlating shots with the ensemble they sample from.
 const TRAJECTORY_DOMAIN: u64 = 0x0074_7261_6a65_6374; // "traject"
 
-/// Seeded Kraus-channel trajectory ensembles — the generalization of
-/// [`PauliNoise`] from per-gate Pauli strengths to an arbitrary
-/// [`NoiseModel`] of CPTP channels.
+/// Seeded Kraus-channel trajectory ensembles under a [`NoiseModel`] of CPTP
+/// channels — the quantum-trajectory unravelling of the noisy circuit
+/// (Dalibard, Castin & Mølmer, PRL 68, 580 (1992)).
 ///
 /// After every gate, each channel the model attaches to the gate's class is
 /// sampled once per touched qubit from the trajectory's own RNG stream:
 ///
-/// * **Pauli channels** (every Kraus operator proportional to a Pauli) keep
-///   the cheap mask path — one coin flip, then a Pauli gate application;
-///   a [`PauliNoise`] configuration converted through
-///   [`TrajectoryNoise::from`] consumes the *identical* RNG stream, so the
-///   two backends agree bit for bit;
+/// * **Pauli channels** (every Kraus operator proportional to a Pauli,
+///   classified once when the channel is built) keep the cheap mask path —
+///   one coin flip, then a Pauli gate application;
 /// * **general channels** (amplitude/phase damping, user Kraus sets) do
 ///   norm-weighted Kraus selection: branch `k` is chosen with probability
 ///   `‖K_k ψ‖²` and the state re-normalised — the standard quantum-
@@ -1159,19 +980,6 @@ pub struct TrajectoryNoise {
     pub seed: u64,
 }
 
-impl From<PauliNoise> for TrajectoryNoise {
-    /// The Kraus-channel form of a [`PauliNoise`] configuration. The
-    /// trajectory RNG streams are call-for-call identical, so ensemble
-    /// quantities agree bit for bit.
-    fn from(p: PauliNoise) -> Self {
-        TrajectoryNoise {
-            model: NoiseModel::pauli(p.depolarizing, p.dephasing),
-            trajectories: p.trajectories,
-            seed: p.seed,
-        }
-    }
-}
-
 impl TrajectoryNoise {
     /// A trajectory ensemble of `trajectories` seeded runs under `model`.
     pub fn new(model: NoiseModel, trajectories: usize, seed: u64) -> Self {
@@ -1203,10 +1011,11 @@ impl TrajectoryNoise {
         rng: &mut StdRng,
     ) {
         if let Some([_, px, py, pz]) = channel.pauli_probabilities() {
-            // Cheap mask path. The RNG call pattern mirrors `PauliNoise`:
-            // one `gen_bool` per channel, plus a uniform `gen_range` only
-            // when the error part is spread evenly over X/Y/Z — so Pauli
-            // models expressed either way share their coin flips.
+            // Cheap mask path. The RNG call pattern is fixed: one `gen_bool`
+            // per channel, plus a uniform `gen_range(0..3)` only when the
+            // error part is spread evenly over X/Y/Z. Seeded outputs of the
+            // `noisy` backend, the examples and the determinism checks are
+            // pinned to this stream.
             let p_err = px + py + pz;
             if p_err <= 0.0 || !rng.gen_bool(p_err.min(1.0)) {
                 return;
@@ -1257,7 +1066,7 @@ impl TrajectoryNoise {
     }
 
     /// Runs one noise trajectory on the stream derived from `(seed, index)`
-    /// under the shared [`TRAJECTORY_DOMAIN`] tag.
+    /// under the [`TRAJECTORY_DOMAIN`] tag.
     fn trajectory(&self, initial: &StateVector, circuit: &Circuit, index: usize) -> StateVector {
         let mut rng =
             StdRng::seed_from_u64(derive_stream_seed(self.seed ^ TRAJECTORY_DOMAIN, index));
@@ -1298,12 +1107,37 @@ impl Backend for TrajectoryNoise {
         readout: Readout<'_>,
     ) -> Result<Outcome, BackendError> {
         let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        Ok(read_ensemble(
-            self.ensemble(),
-            init.dim(),
-            readout,
-            |index| self.trajectory(&init, circuit, index),
-        ))
+        let t = self.ensemble();
+        let trajectory = |index| self.trajectory(&init, circuit, index);
+        let mean = |value: &dyn Fn(&StateVector) -> f64| {
+            (0..t).map(|index| value(&trajectory(index))).sum::<f64>() / t as f64
+        };
+        // `State` is trajectory 0; every other readout averages the whole
+        // ensemble in trajectory order (shots are drawn from the averaged
+        // distribution).
+        Ok(match readout {
+            Readout::State => Outcome::State(trajectory(0)),
+            Readout::Expectation(observable) => {
+                Outcome::Value(mean(&|s| s.expectation_grouped(observable).re))
+            }
+            Readout::SparseExpectation(observable) => {
+                Outcome::Value(mean(&|s| s.expectation_sparse(observable).re))
+            }
+            Readout::Probabilities | Readout::Shots { .. } => {
+                let mut acc = vec![0.0f64; init.dim()];
+                for index in 0..t {
+                    let state = trajectory(index);
+                    for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
+                        *a += amp.norm_sqr();
+                    }
+                }
+                let inv = 1.0 / t as f64;
+                for a in &mut acc {
+                    *a *= inv;
+                }
+                read_probabilities(acc, readout)
+            }
+        })
     }
 }
 
@@ -1634,19 +1468,7 @@ pub enum BackendSpec {
     Reference,
     /// The Clifford stabilizer-tableau backend ([`StabilizerBackend`]).
     Stabilizer,
-    /// A stochastic Pauli-noise ensemble ([`PauliNoise`]).
-    Noisy {
-        /// Per-qubit depolarizing probability after each gate.
-        depolarizing: f64,
-        /// Per-qubit dephasing probability after each gate.
-        dephasing: f64,
-        /// Trajectories averaged by the ensemble entry points.
-        trajectories: usize,
-        /// Master seed for the trajectory streams.
-        seed: u64,
-    },
-    /// A Kraus-channel trajectory ensemble ([`TrajectoryNoise`]) — the
-    /// general-noise form of [`BackendSpec::Noisy`].
+    /// A Kraus-channel trajectory ensemble ([`TrajectoryNoise`]).
     Trajectory {
         /// Gate-class → channel map applied after every gate.
         model: NoiseModel,
@@ -1670,17 +1492,6 @@ impl BackendSpec {
             BackendSpec::Sharded => Box::new(ShardedStatevector),
             BackendSpec::Reference => Box::new(ReferenceStatevector),
             BackendSpec::Stabilizer => Box::new(StabilizerBackend),
-            BackendSpec::Noisy {
-                depolarizing,
-                dephasing,
-                trajectories,
-                seed,
-            } => Box::new(PauliNoise {
-                depolarizing: *depolarizing,
-                dephasing: *dephasing,
-                trajectories: *trajectories,
-                seed: *seed,
-            }),
             BackendSpec::Trajectory {
                 model,
                 trajectories,
@@ -1697,7 +1508,6 @@ impl BackendSpec {
             BackendSpec::Sharded => "sharded",
             BackendSpec::Reference => "reference",
             BackendSpec::Stabilizer => "stabilizer",
-            BackendSpec::Noisy { .. } => "noisy",
             BackendSpec::Trajectory { .. } => "trajectory",
             BackendSpec::Density { .. } => "density",
         }
@@ -1706,9 +1516,9 @@ impl BackendSpec {
 
 /// Looks a backend up by its selection name (see the README's backend
 /// table): `"fused"`, `"sharded"`, `"reference"`, `"stabilizer"`,
-/// `"noisy"` (depolarizing `1%`, 10 trajectories, seed 0), `"trajectory"`
-/// (the Kraus form of the same default), or `"density"` (the exact
-/// noiseless density-matrix oracle). Unknown names are a typed
+/// `"noisy"` and `"trajectory"` (both [`TrajectoryNoise`] with depolarizing
+/// `1%`, 10 trajectories, seed 0), or `"density"` (the exact noiseless
+/// density-matrix oracle). Unknown names are a typed
 /// [`BackendError::UnknownName`].
 pub fn backend_by_name(name: &str) -> Result<Box<dyn Backend>, BackendError> {
     match name {
@@ -1716,8 +1526,7 @@ pub fn backend_by_name(name: &str) -> Result<Box<dyn Backend>, BackendError> {
         "sharded" => Ok(Box::new(ShardedStatevector)),
         "reference" => Ok(Box::new(ReferenceStatevector)),
         "stabilizer" => Ok(Box::new(StabilizerBackend)),
-        "noisy" => Ok(Box::new(PauliNoise::depolarizing(0.01, 10, 0))),
-        "trajectory" => Ok(Box::new(TrajectoryNoise::new(
+        "noisy" | "trajectory" => Ok(Box::new(TrajectoryNoise::new(
             NoiseModel::depolarizing(0.01),
             10,
             0,
@@ -1786,7 +1595,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let initial = InitialState::from(StateVector::random_state(5, &mut rng));
         let c = ghz_circuit(5);
-        let noisy = PauliNoise::depolarizing(0.0, 4, 99);
+        let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 4, 99);
         let r = ReferenceStatevector.run(&initial, &c).unwrap();
         assert_eq!(
             noisy.run(&initial, &c).unwrap(),
@@ -1805,7 +1614,7 @@ mod tests {
         // ideal outcomes.
         let c = ghz_circuit(5);
         let zero = InitialState::ZeroState;
-        let noisy = PauliNoise::depolarizing(0.2, 20, 7);
+        let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.2, 0.0), 20, 7);
         let probs = noisy.probabilities(&zero, &c).unwrap();
         let ideal_mass = probs[0] + probs[0b11111];
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-10);
@@ -1816,21 +1625,37 @@ mod tests {
     fn noisy_ensemble_quantities_are_deterministic() {
         let c = ghz_circuit(4);
         let zero = InitialState::ZeroState;
-        let noisy = PauliNoise {
-            depolarizing: 0.05,
-            dephasing: 0.02,
-            trajectories: 6,
-            seed: 21,
-        };
+        let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.05, 0.02), 6, 21);
+        let probs = noisy.probabilities(&zero, &c).unwrap();
+        assert_eq!(probs, noisy.probabilities(&zero, &c).unwrap());
+        let shots = noisy.sample(&zero, &c, 500, 3).unwrap();
+        assert_eq!(shots, noisy.sample(&zero, &c, 500, 3).unwrap());
+        // The Pauli-trajectory stream, pinned bit for bit: any change to the
+        // Pauli path's RNG call pattern or probabilities breaks these.
+        let (a, b) = (0x3fcf_ffff_ffff_fffd_u64, 0x3fb5_5555_5555_5554_u64);
+        let pinned = [a, 0, b, b, 0, 0, 0, b, b, 0, 0, 0, b, b, 0, a];
         assert_eq!(
-            noisy.probabilities(&zero, &c).unwrap(),
-            noisy.probabilities(&zero, &c).unwrap()
+            probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            pinned
         );
-        assert_eq!(
-            noisy.sample(&zero, &c, 500, 3).unwrap(),
-            noisy.sample(&zero, &c, 500, 3).unwrap()
-        );
+        let digits: String = shots.iter().map(|s| format!("{s:x}")).collect();
+        assert_eq!(digits, PINNED_SHOTS.concat());
     }
+
+    /// `sample(.., 500, 3)` of the pinned Pauli-trajectory configuration,
+    /// one hex digit per 4-qubit shot.
+    const PINNED_SHOTS: [&str; 10] = [
+        "df0000020f0ff8ddf8d2f3f807f2cc8ff030d77df23dc3f22f",
+        "00f80728f30f70d88dfd0cdff3ffff0ff207f88fd70cf07c87",
+        "00ffc0f888dcf000c7020ff7037f0008f8080f7d8220ddfcc0",
+        "0d0cffd2dff7708f7220fff2fc22cf00f0fff700c070f7dfdf",
+        "0070f03cf23003dcf0df00027ff0ffff008f82d2707f0dc03f",
+        "ff323807f30230fffcfcf072fdcdff002f8fd80d0dcff2f002",
+        "c033f070f70300f88f2c03f08733c0dff88c38d8dff7d3022f",
+        "8282f8f7dc03f2cc0dffff822c3d00f000dd22f82dcdf28f80",
+        "ff0f20d0ff0270703dc0283fffc3f020dfc70f0fdf0f0f0d00",
+        "70730c7333020f20cfcf8020238802f22070dfc7ff70d0fff0",
+    ];
 
     #[test]
     fn adjoint_and_shift_gradients_agree_on_all_gate_kinds() {
@@ -1890,7 +1715,7 @@ mod tests {
         let params = [0.4, -0.8];
         // Zero-strength noise is RNG-free: its shift gradient must equal the
         // reference backend's adjoint gradient to tight tolerance.
-        let quiet = PauliNoise::depolarizing(0.0, 3, 7);
+        let quiet = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 3, 7);
         let (e_q, g_q) = quiet
             .expectation_gradient(&zero, &pc, &params, &obs)
             .unwrap();
@@ -1903,7 +1728,7 @@ mod tests {
         }
         // At non-zero strength the gradient is of the *ensemble* energy:
         // still deterministic for a fixed configuration.
-        let noisy = PauliNoise::depolarizing(0.05, 4, 11);
+        let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.05, 0.0), 4, 11);
         let a = noisy
             .expectation_gradient(&zero, &pc, &params, &obs)
             .unwrap();
@@ -1995,45 +1820,13 @@ mod tests {
     fn capabilities_describe_each_backend() {
         assert!(!FusedStatevector.capabilities().clifford_only);
         assert!(FusedStatevector.capabilities().supports_gradients);
-        assert!(
-            PauliNoise::depolarizing(0.01, 4, 0)
-                .capabilities()
-                .stochastic
-        );
+        assert!(backend_by_name("noisy").unwrap().capabilities().stochastic);
         let caps = StabilizerBackend.capabilities();
         assert!(caps.clifford_only && !caps.supports_gradients);
         assert!(caps.max_qubits >= 1000, "must admit 1000-qubit registers");
         let density_caps = DensityMatrixBackend::default().capabilities();
         assert_eq!(density_caps.max_qubits, DensityMatrixBackend::MAX_QUBITS);
         assert!(!density_caps.stochastic && density_caps.supports_gradients);
-    }
-
-    #[test]
-    fn trajectory_noise_reproduces_pauli_noise_bit_for_bit() {
-        // A Pauli model expressed through the Kraus machinery consumes the
-        // identical RNG stream: ensemble quantities agree exactly.
-        use ghs_operators::{PauliString, PauliSum};
-        let c = ghz_circuit(4);
-        let zero = InitialState::ZeroState;
-        let pauli = PauliNoise {
-            depolarizing: 0.08,
-            dephasing: 0.03,
-            trajectories: 6,
-            seed: 41,
-        };
-        let kraus = TrajectoryNoise::from(pauli);
-        assert_eq!(
-            pauli.probabilities(&zero, &c).unwrap(),
-            kraus.probabilities(&zero, &c).unwrap()
-        );
-        let mut sum = PauliSum::zero(4);
-        sum.push(ghs_math::c64(1.0, 0.0), PauliString::parse("ZZII").unwrap());
-        sum.push(ghs_math::c64(0.5, 0.0), PauliString::parse("XIXI").unwrap());
-        let obs = GroupedPauliSum::new(&sum);
-        assert_eq!(
-            pauli.expectation(&zero, &c, &obs).unwrap(),
-            kraus.expectation(&zero, &c, &obs).unwrap()
-        );
     }
 
     #[test]

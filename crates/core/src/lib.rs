@@ -29,7 +29,7 @@ pub mod usual;
 
 pub use backend::{
     backend_by_name, parameter_shift_gradient, Backend, BackendError, BackendSpec, Capabilities,
-    DensityMatrixBackend, FusedStatevector, InitialState, Outcome, PauliNoise, Prepared, Readout,
+    DensityMatrixBackend, FusedStatevector, InitialState, Outcome, Prepared, Readout,
     ReferenceStatevector, ShardedStatevector, StabilizerBackend, StatevectorEngine,
     TrajectoryNoise,
 };

@@ -320,7 +320,8 @@ mod tests {
 
     #[test]
     fn backend_energies_agree_and_sampling_is_seeded() {
-        use ghs_core::backend::{PauliNoise, ReferenceStatevector};
+        use ghs_core::backend::{ReferenceStatevector, TrajectoryNoise};
+        use ghs_operators::NoiseModel;
         let p = small_problem();
         let params = QaoaParameters {
             gammas: vec![0.5],
@@ -335,7 +336,7 @@ mod tests {
         );
         assert!((e_fused - e_ref).abs() < 1e-12);
         // A zero-strength noise backend reproduces the noiseless energy.
-        let quiet = PauliNoise::depolarizing(0.0, 3, 1);
+        let quiet = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 3, 1);
         let e_quiet = qaoa_energy_with(&quiet, &p, &params, SeparatorStrategy::Direct);
         assert!((e_quiet - e_fused).abs() < 1e-12);
         // Seeded batched sampling is reproducible and in-range.

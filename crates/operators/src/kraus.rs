@@ -9,11 +9,12 @@
 //!
 //! A [`NoiseModel`] maps *gate classes* (single-qubit vs multi-qubit) to
 //! lists of channels applied to every qubit a gate touches, replacing the
-//! older ad-hoc per-gate Pauli strengths. Channels that are Pauli channels
-//! (every Kraus operator proportional to `I`, `X`, `Y` or `Z`) expose their
-//! probability vector through [`KrausChannel::pauli_probabilities`] so
-//! trajectory engines can keep the cheap Pauli-mask path; general channels
-//! fall back to norm-weighted Kraus selection.
+//! older ad-hoc per-gate Pauli strengths. Every channel is classified once,
+//! when it is built: Pauli channels (every Kraus operator proportional to
+//! `I`, `X`, `Y` or `Z`) expose their probability vector through
+//! [`KrausChannel::pauli_probabilities`] so trajectory engines can keep the
+//! cheap Pauli-mask path; general channels fall back to norm-weighted Kraus
+//! selection.
 //!
 //! ```
 //! use ghs_operators::kraus::{KrausChannel, NoiseModel};
@@ -33,7 +34,7 @@
 
 use std::fmt;
 
-use ghs_math::{c64, CMatrix};
+use ghs_math::{c64, CMatrix, Complex64};
 
 /// Tolerance for the CPTP completeness check `Σ K†K = I` and for the
 /// Pauli-channel structure detection.
@@ -51,6 +52,11 @@ pub enum KrausError {
         /// Its actual shape `(rows, cols)`.
         shape: (usize, usize),
     },
+    /// A Kraus operator has a NaN or infinite entry.
+    NonFinite {
+        /// Index of the offending operator.
+        index: usize,
+    },
     /// The completeness relation `Σ K†K = I` fails beyond tolerance.
     NotTracePreserving {
         /// Largest absolute deviation of `Σ K†K` from the identity.
@@ -67,6 +73,9 @@ impl fmt::Display for KrausError {
                 "Kraus operator {index} is {}x{}, expected 2x2",
                 shape.0, shape.1
             ),
+            KrausError::NonFinite { index } => {
+                write!(f, "Kraus operator {index} has a non-finite entry")
+            }
             KrausError::NotTracePreserving { deviation } => write!(
                 f,
                 "Kraus set is not trace preserving: |sum K'K - I| = {deviation:.3e}"
@@ -97,6 +106,8 @@ impl std::error::Error for KrausError {}
 pub struct KrausChannel {
     name: &'static str,
     ops: Vec<CMatrix>,
+    /// `[p_I, p_X, p_Y, p_Z]` for a Pauli channel, fixed at construction.
+    pauli: Option<[f64; 4]>,
 }
 
 fn identity_op() -> CMatrix {
@@ -128,13 +139,41 @@ fn pauli_z() -> CMatrix {
     ])
 }
 
+/// If every Kraus operator is a nonnegative-real multiple of a Pauli,
+/// the probability vector `[p_I, p_X, p_Y, p_Z]`; otherwise `None`.
+fn classify_pauli(ops: &[CMatrix]) -> Option<[f64; 4]> {
+    let paulis = [identity_op(), pauli_x(), pauli_y(), pauli_z()];
+    let mut probs = [0.0f64; 4];
+    for k in ops {
+        let (i, c) = paulis.iter().enumerate().find_map(|(i, p)| {
+            // Project K onto P: K = c·P ⇒ c = tr(P†K)/2, real ≥ 0.
+            let c = p
+                .data()
+                .iter()
+                .zip(k.data())
+                .map(|(a, b)| a.conj() * *b)
+                .sum::<Complex64>()
+                / c64(2.0, 0.0);
+            k.approx_eq(&p.scale(c), CPTP_TOL).then_some((i, c))
+        })?;
+        if c.im.abs() > CPTP_TOL || c.re < -CPTP_TOL {
+            return None;
+        }
+        probs[i] += c.re * c.re;
+    }
+    Some(probs)
+}
+
 impl KrausChannel {
+    /// Stores `ops` under `name` with their Pauli classification.
+    fn classified(name: &'static str, ops: Vec<CMatrix>) -> Self {
+        let pauli = classify_pauli(&ops);
+        KrausChannel { name, ops, pauli }
+    }
+
     /// The trivial (identity) channel: exactly one Kraus operator, `I`.
     pub fn identity() -> Self {
-        KrausChannel {
-            name: "identity",
-            ops: vec![identity_op()],
-        }
+        Self::classified("identity", vec![identity_op()])
     }
 
     /// Amplitude damping with decay probability `gamma`:
@@ -153,10 +192,7 @@ impl KrausChannel {
             &[c64(0.0, 0.0), c64(gamma.sqrt(), 0.0)],
             &[c64(0.0, 0.0), c64(0.0, 0.0)],
         ]);
-        KrausChannel {
-            name: "amplitude_damping",
-            ops: vec![k0, k1],
-        }
+        Self::classified("amplitude_damping", vec![k0, k1])
     }
 
     /// Phase damping with scattering probability `gamma`:
@@ -172,10 +208,7 @@ impl KrausChannel {
         }
         let k0 = CMatrix::from_diagonal(&[c64(1.0, 0.0), c64((1.0 - gamma).sqrt(), 0.0)]);
         let k1 = CMatrix::from_diagonal(&[c64(0.0, 0.0), c64(gamma.sqrt(), 0.0)]);
-        KrausChannel {
-            name: "phase_damping",
-            ops: vec![k0, k1],
-        }
+        Self::classified("phase_damping", vec![k0, k1])
     }
 
     /// Dephasing: apply `Z` with probability `p`, i.e. Kraus operators
@@ -188,19 +221,18 @@ impl KrausChannel {
         if p == 0.0 {
             return Self::identity();
         }
-        KrausChannel {
-            name: "dephasing",
-            ops: vec![
+        Self::classified(
+            "dephasing",
+            vec![
                 scaled(&identity_op(), (1.0 - p).sqrt()),
                 scaled(&pauli_z(), p.sqrt()),
             ],
-        }
+        )
     }
 
     /// Depolarizing: with probability `p` apply a uniformly random
-    /// non-identity Pauli (`X`, `Y` or `Z` each with probability `p/3`),
-    /// matching the trajectory semantics of the historical `PauliNoise`
-    /// backend. `p = 0` yields the trivial channel.
+    /// non-identity Pauli (`X`, `Y` or `Z` each with probability `p/3`).
+    /// `p = 0` yields the trivial channel.
     ///
     /// # Panics
     /// If `p` is outside `[0, 1]`.
@@ -209,20 +241,20 @@ impl KrausChannel {
         if p == 0.0 {
             return Self::identity();
         }
-        KrausChannel {
-            name: "depolarizing",
-            ops: vec![
+        Self::classified(
+            "depolarizing",
+            vec![
                 scaled(&identity_op(), (1.0 - p).sqrt()),
                 scaled(&pauli_x(), (p / 3.0).sqrt()),
                 scaled(&pauli_y(), (p / 3.0).sqrt()),
                 scaled(&pauli_z(), (p / 3.0).sqrt()),
             ],
-        }
+        )
     }
 
     /// Builds a channel from an arbitrary single-qubit Kraus set, rejecting
-    /// sets that are empty, not 2×2, or that violate the completeness
-    /// relation `Σ K†K = I` beyond `1e-9`.
+    /// sets that are empty, not 2×2, not finite, or that violate the
+    /// completeness relation `Σ K†K = I` beyond `1e-9`.
     ///
     /// ```
     /// use ghs_math::{c64, CMatrix};
@@ -243,6 +275,13 @@ impl KrausChannel {
                     shape: (k.rows(), k.cols()),
                 });
             }
+            if !k
+                .data()
+                .iter()
+                .all(|z| z.re.is_finite() && z.im.is_finite())
+            {
+                return Err(KrausError::NonFinite { index });
+            }
         }
         let mut sum = CMatrix::zeros(2, 2);
         for k in &ops {
@@ -259,7 +298,7 @@ impl KrausChannel {
         if deviation > CPTP_TOL {
             return Err(KrausError::NotTracePreserving { deviation });
         }
-        Ok(KrausChannel { name: "kraus", ops })
+        Ok(Self::classified("kraus", ops))
     }
 
     /// The Kraus operators of the channel.
@@ -277,34 +316,13 @@ impl KrausChannel {
         self.ops.len() == 1 && self.ops[0].approx_eq(&identity_op(), CPTP_TOL)
     }
 
-    /// If every Kraus operator is a nonnegative-real multiple of a distinct
-    /// Pauli (`I`, `X`, `Y`, `Z`), returns the probability vector
-    /// `[p_I, p_X, p_Y, p_Z]`; otherwise `None`. Trajectory engines use this
+    /// If every Kraus operator is a nonnegative-real multiple of a Pauli
+    /// (`I`, `X`, `Y`, `Z`), the probability vector `[p_I, p_X, p_Y, p_Z]`;
+    /// otherwise `None`. The classification is made once, when the channel
+    /// is built, so trajectory engines can ask on every channel application
     /// to keep the cheap Pauli-mask sampling path.
     pub fn pauli_probabilities(&self) -> Option<[f64; 4]> {
-        let paulis = [identity_op(), pauli_x(), pauli_y(), pauli_z()];
-        let mut probs = [0.0f64; 4];
-        for k in &self.ops {
-            let mut matched = false;
-            for (i, p) in paulis.iter().enumerate() {
-                // Project K onto P: K = c·P ⇒ c = tr(P†K)/2, real ≥ 0.
-                let c = p.dagger().matmul(k).trace() / c64(2.0, 0.0);
-                let mut residual = k.clone();
-                residual.add_scaled(p, -c);
-                if residual.approx_eq(&CMatrix::zeros(2, 2), CPTP_TOL) {
-                    if c.im.abs() > CPTP_TOL || c.re < -CPTP_TOL {
-                        return None;
-                    }
-                    probs[i] += c.re * c.re;
-                    matched = true;
-                    break;
-                }
-            }
-            if !matched {
-                return None;
-            }
-        }
-        Some(probs)
+        self.pauli
     }
 
     /// The 4×4 superoperator `S = Σ_k K_k ⊗ conj(K_k)` acting on the
@@ -322,15 +340,14 @@ impl KrausChannel {
 /// Maps gate classes to the noise channels applied after each gate.
 ///
 /// Every channel attached to a class is applied, in order, to **each qubit
-/// the gate touches** — mirroring the per-touched-qubit semantics of the
-/// historical `PauliNoise` backend. Trivial channels are dropped at
+/// the gate touches**. Trivial channels are dropped at
 /// construction so [`Self::is_noiseless`] and the RNG-free zero-strength
 /// contract are structural, not numerical.
 ///
 /// ```
 /// use ghs_operators::kraus::{KrausChannel, NoiseModel};
 ///
-/// // The PauliNoise-compatible model: depolarizing + dephasing everywhere.
+/// // Depolarizing + dephasing after every gate.
 /// let model = NoiseModel::pauli(0.01, 0.002);
 /// assert_eq!(model.channels_for(1).len(), 2);
 /// assert!(NoiseModel::pauli(0.0, 0.0).is_noiseless());
@@ -375,7 +392,7 @@ impl NoiseModel {
         NoiseModel::noiseless().with_all_gates(KrausChannel::depolarizing(p))
     }
 
-    /// The `PauliNoise`-compatible model: depolarizing of strength
+    /// The Pauli model: depolarizing of strength
     /// `depolarizing` followed by dephasing of strength `dephasing` on every
     /// qubit touched by any gate.
     pub fn pauli(depolarizing: f64, dephasing: f64) -> Self {
@@ -442,6 +459,13 @@ mod tests {
             KrausChannel::from_kraus(vec![half]),
             Err(KrausError::NotTracePreserving { .. })
         ));
+        // NaN slips past a max-deviation CPTP check; it must be rejected.
+        let mut nan = identity_op();
+        nan.set(1, 0, c64(f64::NAN, 0.0));
+        assert_eq!(
+            KrausChannel::from_kraus(vec![nan]),
+            Err(KrausError::NonFinite { index: 0 })
+        );
     }
 
     #[test]
@@ -462,6 +486,14 @@ mod tests {
         assert!(KrausChannel::phase_damping(0.2)
             .pauli_probabilities()
             .is_none());
+        // The classification is stored: a `from_kraus` copy of the
+        // depolarizing set, and a clone of it, report the same numbers.
+        let generic = KrausChannel::from_kraus(dep.ops().to_vec()).unwrap();
+        assert_eq!(generic.pauli_probabilities(), dep.pauli_probabilities());
+        assert_eq!(
+            generic.clone().pauli_probabilities(),
+            dep.pauli_probabilities()
+        );
     }
 
     #[test]

@@ -459,6 +459,7 @@ mod tests {
     use ghs_circuit::Circuit;
     use ghs_math::c64;
     use ghs_operators::{PauliString, PauliSum};
+    use ghs_statevector::StateVector;
     use std::sync::Arc;
 
     fn bell() -> Circuit {
@@ -558,16 +559,12 @@ mod tests {
             workers: 1,
             ..ServiceConfig::default()
         });
-        // Admission has no vocabulary for noise strengths, and the
-        // trajectory sampler rejects a probability above 1.0 with a panic
-        // at execution time — exactly the class of failure the worker must
-        // absorb instead of unwinding.
-        let bad = JobSpec::expectation(bell(), zz()).on_backend(BackendSpec::Noisy {
-            depolarizing: 2.0,
-            dephasing: 0.0,
-            trajectories: 2,
-            seed: 7,
-        });
+        // Admission checks a dense initial state's size, not its norm, and
+        // the alias-table sampler rejects an all-zero distribution with a
+        // panic at execution time — exactly the class of failure the worker
+        // must absorb instead of unwinding.
+        let zero_amplitudes = StateVector::from_amplitudes(2, vec![c64(0.0, 0.0); 4]);
+        let bad = JobSpec::sample(bell(), 16).with_initial(zero_amplitudes);
         let id = service.submit(bad).unwrap();
         let result = service.wait(id);
         assert!(

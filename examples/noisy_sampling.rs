@@ -1,19 +1,20 @@
 //! Pluggable backends and the batched shot engine: runs the same QAOA
-//! circuit through the fused, reference and stochastic Pauli-noise
+//! circuit through the fused, reference and Pauli-noise trajectory
 //! backends, sweeps the noise strength, and draws a 4096-shot histogram
 //! through the cached alias sampler.
 //!
 //! Run with `cargo run --release --example noisy_sampling`.
 //! CI runs this in the smoke job and archives the output next to
-//! `BENCH.json`.
+//! `BENCH.json`; the determinism matrix diffs its output across legs.
 
 use gate_efficient_hs::core::backend::{
-    Backend, FusedStatevector, InitialState, PauliNoise, ReferenceStatevector,
+    Backend, FusedStatevector, InitialState, ReferenceStatevector, TrajectoryNoise,
 };
 use gate_efficient_hs::hubo::{
     qaoa_circuit, qaoa_energy_with, qaoa_sample, random_sparse_hubo, QaoaParameters,
     SeparatorStrategy,
 };
+use gate_efficient_hs::operators::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +39,7 @@ fn main() {
     // ---- 1. the same energy through three interchangeable backends --------
     let fused = FusedStatevector;
     let reference = ReferenceStatevector;
-    let quiet = PauliNoise::depolarizing(0.0, 5, 3);
+    let quiet = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 5, 3);
     println!("\nnoiseless energy through each backend:");
     for backend in [&fused as &dyn Backend, &reference, &quiet] {
         let e = qaoa_energy_with(backend, &problem, &params, strategy);
@@ -49,7 +50,7 @@ fn main() {
     println!("\ndepolarizing sweep (10 trajectories, seed 3):");
     let ideal = qaoa_energy_with(&fused, &problem, &params, strategy);
     for p in [0.0, 0.002, 0.01, 0.05] {
-        let noisy = PauliNoise::depolarizing(p, 10, 3);
+        let noisy = TrajectoryNoise::new(NoiseModel::pauli(p, 0.0), 10, 3);
         let e = qaoa_energy_with(&noisy, &problem, &params, strategy);
         println!(
             "  p = {p:<6} E = {e:+.6}   drift from ideal = {:+.6}",
@@ -90,7 +91,7 @@ fn main() {
     // The noisy ensemble samples through the same batched engine. Compare
     // against the ideal *probabilities*, not the finite ideal histogram:
     // count shots on assignments the ideal state visits only rarely.
-    let noisy = PauliNoise::depolarizing(0.02, 10, 3);
+    let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.02, 0.0), 10, 3);
     let zero = InitialState::ZeroState;
     let ideal_probs = fused
         .probabilities(&zero, &circuit)

@@ -10,9 +10,10 @@
 
 use gate_efficient_hs::circuit::Circuit;
 use gate_efficient_hs::core::backend::{
-    backend_by_name, Backend, BackendError, FusedStatevector, InitialState, PauliNoise,
-    ReferenceStatevector,
+    backend_by_name, Backend, BackendError, FusedStatevector, InitialState, ReferenceStatevector,
+    TrajectoryNoise,
 };
+use gate_efficient_hs::operators::NoiseModel;
 use gate_efficient_hs::statevector::testkit::random_circuit;
 use gate_efficient_hs::statevector::StateVector;
 use proptest::prelude::*;
@@ -52,12 +53,7 @@ proptest! {
         let c = random_circuit(n, gates, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
         let s0 = InitialState::from(StateVector::random_state(n, &mut rng));
-        let quiet = PauliNoise {
-            depolarizing: 0.0,
-            dephasing: 0.0,
-            trajectories: 3,
-            seed,
-        };
+        let quiet = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 3, seed);
         let q = quiet.run(&s0, &c).unwrap();
         let f = FusedStatevector.run(&s0, &c).unwrap();
         prop_assert!(q.distance(&f) < BACKEND_TOL);
@@ -123,12 +119,7 @@ fn batched_shots_are_prefix_stable_and_seed_sensitive() {
 fn noisy_sampling_is_deterministic_and_normalised() {
     let c = random_circuit(5, 30, 13);
     let zero = InitialState::ZeroState;
-    let noisy = PauliNoise {
-        depolarizing: 0.03,
-        dephasing: 0.01,
-        trajectories: 8,
-        seed: 42,
-    };
+    let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.03, 0.01), 8, 42);
     let probs = noisy.probabilities(&zero, &c).unwrap();
     assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-10);
     assert_eq!(

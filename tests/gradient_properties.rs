@@ -5,7 +5,7 @@
 //!   random parameterized circuits (2–10 qubits, mixed rotation gate kinds
 //!   including keyed phases and multi-controlled rotations), across the
 //!   [`FusedStatevector`] and [`ReferenceStatevector`] backends;
-//! * a zero-strength [`PauliNoise`] backend (whose gradient path is the
+//! * a zero-strength [`TrajectoryNoise`] backend (whose gradient path is the
 //!   parameter-shift fallback) agrees with the reference backend's adjoint
 //!   gradient;
 //! * in-place rebinding (`bind_into`) and the cached-fusion-plan execution
@@ -20,9 +20,10 @@
 
 use gate_efficient_hs::circuit::Circuit;
 use gate_efficient_hs::core::backend::{
-    parameter_shift_gradient, Backend, FusedStatevector, InitialState, PauliNoise,
-    ReferenceStatevector,
+    parameter_shift_gradient, Backend, FusedStatevector, InitialState, ReferenceStatevector,
+    TrajectoryNoise,
 };
+use gate_efficient_hs::operators::NoiseModel;
 use gate_efficient_hs::statevector::testkit::{
     random_parameterized_circuit, random_pauli_sum, PauliSumKind,
 };
@@ -158,7 +159,7 @@ proptest! {
         let observable = GroupedPauliSum::new(&sum);
         let params = seeded_params(num_params, seed);
         let zero = InitialState::ZeroState;
-        let quiet = PauliNoise::depolarizing(0.0, 3, seed);
+        let quiet = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 3, seed);
         let (e_q, g_q) = quiet
             .expectation_gradient(&zero, &pc, &params, &observable)
             .unwrap();

@@ -8,15 +8,15 @@
 //!   average the *same* seeded trajectories;
 //! * grouped evaluation is bit-identical with the parallel threshold forced
 //!   to 0 (always parallel) vs effectively infinite (never parallel);
-//! * `PauliNoise` at zero strength matches the noiseless reference value
+//! * Pauli-model `TrajectoryNoise` at zero strength matches the noiseless reference value
 //!   exactly (bit-equal), not just to tolerance;
 //! * the QWC partition really is qubit-wise commuting and never needs more
 //!   settings than there are strings.
 
 use gate_efficient_hs::core::backend::{
-    Backend, FusedStatevector, InitialState, PauliNoise, ReferenceStatevector,
+    Backend, FusedStatevector, InitialState, ReferenceStatevector, TrajectoryNoise,
 };
-use gate_efficient_hs::operators::PauliOp;
+use gate_efficient_hs::operators::{NoiseModel, PauliOp};
 use gate_efficient_hs::statevector::testkit::{
     random_circuit, random_pauli_sum, random_state, PauliSumKind,
 };
@@ -79,12 +79,7 @@ proptest! {
         let sparse = sum.sparse_matrix();
         let grouped = GroupedPauliSum::new(&sum);
         let initial = InitialState::from(random_state(n, seed ^ 0x1ead));
-        let noisy = PauliNoise {
-            depolarizing: 0.03,
-            dephasing: 0.01,
-            trajectories: 3,
-            seed,
-        };
+        let noisy = TrajectoryNoise::new(NoiseModel::pauli(0.03, 0.01), 3, seed);
         for backend in [
             &FusedStatevector as &dyn Backend,
             &ReferenceStatevector,
@@ -163,12 +158,7 @@ fn zero_noise_expectation_matches_reference_bit_exactly() {
     let sum = random_pauli_sum(6, 9, PauliSumKind::Mixed, 7);
     let grouped = GroupedPauliSum::new(&sum);
     let initial = InitialState::from(random_state(6, 3));
-    let quiet = PauliNoise {
-        depolarizing: 0.0,
-        dephasing: 0.0,
-        trajectories: 5,
-        seed: 123,
-    };
+    let quiet = TrajectoryNoise::new(NoiseModel::pauli(0.0, 0.0), 5, 123);
     let noiseless = ReferenceStatevector
         .expectation(&initial, &circuit, &grouped)
         .unwrap();
