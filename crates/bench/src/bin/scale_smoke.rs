@@ -3,16 +3,17 @@
 //! Runs a 24-qubit ladder workload **directly on
 //! [`ShardedStateVector`]** — no `Backend::run` copies, no alias table, no
 //! flat `to_state()` bridge — and reads the result through the O(1)
-//! boundaries (`norm`, per-index `probability`). Total live memory is one
-//! sharded amplitude set (`2^24` amplitudes = 256 MB) plus per-op scratch;
-//! the engine never materializes a second full `2^n` buffer.
+//! boundaries (`norm`, per-index `probability`). Total live memory is the
+//! engine's one shard-tiled amplitude buffer (`2^24` amplitudes = 256 MiB)
+//! plus per-op scratch; the engine never materializes a second full `2^n`
+//! buffer.
 //!
 //! CI runs this binary under `ulimit -v` sized for a single flat copy plus
-//! shard scratch (see the `memory-ceiling` job): an accidental full-state
-//! clone anywhere on the execution path aborts the allocator and fails the
-//! step. Run single-threaded (`GHS_PARALLEL_THRESHOLD=usize::MAX`) so
-//! thread stacks and extra malloc arenas don't consume the address-space
-//! budget.
+//! scratch (see the `memory-ceiling` job): an accidental full-state clone
+//! anywhere on the execution path aborts the allocator and fails the step.
+//! CI runs it single-threaded (`GHS_PARALLEL_THRESHOLD=usize::MAX`) so
+//! thread stacks and extra malloc arenas stay out of the address-space
+//! budget; the default threshold fits the same budget on a small machine.
 //!
 //! Usage: `scale_smoke [--qubits 24] [--layers 3]`
 

@@ -1204,12 +1204,12 @@ impl DensityMatrixBackend {
                 backend: self.name(),
             });
         }
-        // `to_statevector` validates register size and basis range; basis
-        // states skip the `O(4^n)` outer product.
-        let psi = initial.to_statevector(n, self.name())?;
-        let mut rho = match initial.basis_index() {
-            Some(index) => DensityMatrix::basis_state(n, index),
-            None => DensityMatrix::from_statevector(&psi),
+        // Basis states skip the dense `2^n` register and the `O(4^n)` outer product.
+        initial.check(n, self.name())?;
+        let mut rho = match initial {
+            InitialState::ZeroState => DensityMatrix::basis_state(n, 0),
+            InitialState::Basis(index) => DensityMatrix::basis_state(n, *index),
+            InitialState::Dense(psi) => DensityMatrix::from_statevector(psi),
         };
         rho.evolve(circuit, &self.model);
         Ok(rho)
@@ -1878,6 +1878,11 @@ mod tests {
         let exact = DensityMatrixBackend::default();
         let dense = FusedStatevector.expectation(&zero, &c, &obs).unwrap();
         let mixed = exact.expectation(&zero, &c, &obs).unwrap();
+        assert!((dense - mixed).abs() < 1e-10, "dense {dense} vs ρ {mixed}");
+        // A dense initial state takes the outer-product arm.
+        let psi = InitialState::from(StateVector::random_state(4, &mut StdRng::seed_from_u64(4)));
+        let dense = FusedStatevector.expectation(&psi, &c, &obs).unwrap();
+        let mixed = exact.expectation(&psi, &c, &obs).unwrap();
         assert!((dense - mixed).abs() < 1e-10, "dense {dense} vs ρ {mixed}");
         // Typed errors: no dense state, and a hard register cap.
         assert!(matches!(

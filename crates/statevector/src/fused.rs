@@ -3,19 +3,21 @@
 //! [`StateVector::apply_circuit`] pays one full sweep over all `2^n`
 //! amplitudes per gate. The engine here executes a [`FusedCircuit`] instead:
 //! every fused op is lowered once to the shared `Prepared` base-offset form
-//! (`crate::kernels`, also the sharded engine's executor), and then:
+//! (`crate::kernels`), and one run loop (`apply_ops`, shared with
+//! [`crate::ShardedStateVector`], which passes its shard length as the tile)
+//! then:
 //!
-//! * **runs of small-span ops are cache-blocked** — consecutive ops whose
-//!   span fits one `TILE_AMPS`-amplitude tile are replayed over a single
-//!   tile at a time, so a run of `r` ops costs one pass over the state
-//!   instead of `r`, with every intermediate amplitude staying cache-hot;
-//! * ops spanning more than a tile sweep the whole array through
-//!   `Prepared::apply_sweep`, which parallelizes over group *index space*
+//! * **cache-blocks runs of small-span ops** — consecutive ops whose span
+//!   fits one tile are replayed over a single tile at a time, so a run of
+//!   `r` ops costs one pass over the state instead of `r`, with every
+//!   intermediate amplitude staying cache-hot;
+//! * sweeps the whole array through `Prepared::apply_sweep` for an op
+//!   spanning more than a tile, which parallelizes over group *index space*
 //!   (ranges of group ranks) rather than slicing the amplitude array — so an
 //!   op whose support includes qubit 0 (the most significant bit, whose
 //!   groups interleave across the entire state) fans out across worker
 //!   threads like any other op;
-//! * the hot inner loops process four groups per iteration in split
+//! * processes four groups per iteration in the hot inner loops, in split
 //!   real/imaginary SIMD lanes ([`ghs_math::C64x4`]), with scalar remainder
 //!   paths that are bit-identical by construction (see `crate::kernels`).
 //!
@@ -25,7 +27,7 @@
 
 use crate::kernels::{sweep_parallel, Prepared};
 use crate::state::StateVector;
-use ghs_circuit::{Circuit, FusedCircuit, FusedOp};
+use ghs_circuit::{Circuit, FusedCircuit, Gate};
 use ghs_math::Complex64;
 use rayon::prelude::*;
 
@@ -65,47 +67,51 @@ fn apply_run_tiled(amps: &mut [Complex64], tile: usize, parallel: bool, run: &[P
     }
 }
 
+/// Applies `fused` to a physical amplitude array: runs of ops whose span
+/// fits `tile` (a power of two dividing `amps.len()`) are replayed one tile
+/// at a time, every wider op sweeps the whole array, and the global phase
+/// comes last. The one run loop of the flat and sharded engines.
+pub(crate) fn apply_ops(amps: &mut [Complex64], fused: &FusedCircuit, tile: usize, parallel: bool) {
+    let n = fused.num_qubits();
+    assert_eq!(amps.len(), 1usize << n, "register size mismatch");
+    let phase = fused.global_phase();
+    // The phase has span 1, so it joins the trailing tiled run when there
+    // is one instead of costing a sweep of its own.
+    let prepared: Vec<Prepared> = fused
+        .ops()
+        .iter()
+        .map(|op| Prepared::build(n, op))
+        .chain((phase != 0.0).then(|| Prepared::from_gate(n, &Gate::GlobalPhase(phase))))
+        .collect();
+    let mut rest = &prepared[..];
+    while let Some(op) = rest.first() {
+        if op.span <= tile {
+            let end = rest
+                .iter()
+                .position(|p| p.span > tile)
+                .unwrap_or(rest.len());
+            apply_run_tiled(amps, tile, parallel, &rest[..end]);
+            rest = &rest[end..];
+        } else {
+            op.apply_sweep(amps, parallel);
+            rest = &rest[1..];
+        }
+    }
+}
+
 impl StateVector {
     /// Applies a pre-fused circuit (see [`Circuit::fused`]).
     ///
     /// Fuse once and reuse the [`FusedCircuit`] when applying the same
     /// circuit to many states (e.g. columns of a unitary, QAOA sweeps).
     pub fn apply_fused(&mut self, fused: &FusedCircuit) {
-        assert_eq!(
-            fused.num_qubits(),
-            self.num_qubits(),
-            "register size mismatch"
-        );
-        let n = self.num_qubits();
         let dim = self.dim();
-        let prepared: Vec<Prepared> = fused
-            .ops()
-            .iter()
-            .map(|op| Prepared::build(n, op))
-            .collect();
-        let parallel = sweep_parallel(dim);
-        let tile = TILE_AMPS.min(dim);
-        let amps = self.amplitudes_mut();
-        let mut i = 0;
-        while i < prepared.len() {
-            if prepared[i].span <= tile {
-                let mut j = i + 1;
-                while j < prepared.len() && prepared[j].span <= tile {
-                    j += 1;
-                }
-                apply_run_tiled(amps, tile, parallel, &prepared[i..j]);
-                i = j;
-            } else {
-                prepared[i].apply_sweep(amps, parallel);
-                i += 1;
-            }
-        }
-        if fused.global_phase() != 0.0 {
-            let p = Complex64::cis(fused.global_phase());
-            for a in amps.iter_mut() {
-                *a *= p;
-            }
-        }
+        apply_ops(
+            self.amplitudes_mut(),
+            fused,
+            TILE_AMPS.min(dim),
+            sweep_parallel(dim),
+        );
     }
 
     /// Fuses the circuit and applies it: the default execution path.
@@ -130,23 +136,6 @@ impl StateVector {
     /// tested.
     pub fn run_unfused(&mut self, circuit: &Circuit) {
         self.apply_circuit(circuit);
-    }
-
-    /// Applies one fused operation through the same `Prepared` lowering
-    /// [`Self::apply_fused`] uses (without the run blocking, which needs a
-    /// whole op sequence to pay off).
-    pub fn apply_fused_op(&mut self, op: &FusedOp) {
-        let n = self.num_qubits();
-        let dim = self.dim();
-        let prepared = Prepared::build(n, op);
-        let parallel = sweep_parallel(dim);
-        let tile = TILE_AMPS.min(dim);
-        let amps = self.amplitudes_mut();
-        if prepared.span <= tile {
-            apply_run_tiled(amps, tile, parallel, std::slice::from_ref(&prepared));
-        } else {
-            prepared.apply_sweep(amps, parallel);
-        }
     }
 }
 

@@ -2,20 +2,18 @@
 //! index-space parallel full-array sweep.
 //!
 //! Both dense engines execute fused ops through the [`Prepared`] lowering in
-//! this module:
+//! this module, driven by one run loop (`crate::fused::apply_ops`): runs of
+//! small-span ops replay over one aligned tile at a time via
+//! [`Prepared::apply_local`], and an op whose span exceeds the tile sweeps
+//! the whole array via [`Prepared::apply_sweep`]. The flat engine
+//! ([`crate::StateVector::apply_fused`]) uses a cache-sized tile; the
+//! sharded engine ([`crate::ShardedStateVector`]) stores its amplitudes in
+//! one buffer too and uses its shard length as the tile.
 //!
-//! * the **flat engine** ([`crate::StateVector::apply_fused`]) replays runs
-//!   of small-span ops over one cache-sized amplitude tile at a time via
-//!   [`Prepared::apply_local`], and sweeps the whole array via
-//!   [`Prepared::apply_sweep`] when an op's span exceeds the tile;
-//! * the **sharded engine** ([`crate::ShardedStateVector`]) replays runs of
-//!   shard-local ops per shard through the *same* [`Prepared::apply_local`],
-//!   and crosses shard boundaries via [`Prepared::apply_cross`].
-//!
-//! Because the per-amplitude arithmetic of every path is identical — one
-//! shared `apply_local` body, and the cross/sweep paths mirror it operation
-//! for operation — the two engines produce bit-identical states for any
-//! tile size, shard count and thread count.
+//! Because the per-amplitude arithmetic of both paths is identical — the
+//! sweep mirrors the shared `apply_local` body operation for operation — the
+//! two engines produce bit-identical states for any tile size, shard count
+//! and thread count.
 //!
 //! The hot inner loops process four independent amplitude *groups* per
 //! iteration in split (SoA) real/imaginary layout ([`ghs_math::C64x4`]).
@@ -184,8 +182,8 @@ pub(crate) struct Comp {
 
 /// A fused op lowered to base-offset form: every variant can be applied to
 /// a chunk `[base, base + len)` of the physical amplitude array given the
-/// chunk's absolute base (which resolves control masks and shard-index
-/// bits), element-wise across shards, or over the whole flat array.
+/// chunk's absolute base (which resolves control masks on bits above the
+/// chunk), or over the whole array.
 pub(crate) enum Kind {
     /// Non-unit phase table entries at their scatter offsets.
     Diagonal { active: Vec<(usize, Complex64)> },
@@ -236,8 +234,8 @@ pub(crate) enum Kind {
 /// A prepared op: its kind plus the smallest aligned power-of-two window
 /// (`span`) containing its support, and the support mask (`smask`) group
 /// sweeps exclude. Control/key masks are *not* part of the span: they are
-/// resolved from the absolute base, so controls on high (shard-index /
-/// out-of-tile) bits never force a full-array pass.
+/// resolved from the absolute base, so controls on high (out-of-tile) bits
+/// never force a full-array pass.
 pub(crate) struct Prepared {
     pub(crate) span: usize,
     smask: usize,
@@ -418,7 +416,7 @@ impl Prepared {
 
     /// Pass-through gates (wider than the fusion windows) lowered to the
     /// same primitive sweeps the flat `StateVector::apply_gate` uses.
-    fn from_gate(num_qubits: usize, gate: &Gate) -> Self {
+    pub(crate) fn from_gate(num_qubits: usize, gate: &Gate) -> Self {
         match gate {
             Gate::GlobalPhase(theta) => Prepared {
                 span: 1,
@@ -832,13 +830,14 @@ impl Prepared {
         }
     }
 
-    /// Applies the op to the whole flat amplitude array, parallelizing over
-    /// group **index space** (contiguous ranges of group ranks) instead of
-    /// slicing the array. Used by the flat engine when `span` exceeds its
-    /// tile — including ops whose support reaches qubit 0 (the most
-    /// significant bit), which span the entire array and used to fall back
-    /// to a single thread under slice splitting. The per-amplitude
-    /// arithmetic mirrors [`Prepared::apply_local`] exactly.
+    /// Applies the op to the whole amplitude array, parallelizing over group
+    /// **index space** (contiguous ranges of group ranks) instead of slicing
+    /// the array. Used by the run loop when `span` exceeds the tile (for the
+    /// sharded engine: when the op touches shard-index bits) — including
+    /// ops whose support reaches qubit 0 (the most significant bit), which
+    /// span the entire array and would fall back to a single thread under
+    /// slice splitting. The per-amplitude arithmetic mirrors
+    /// [`Prepared::apply_local`] exactly.
     ///
     /// With a single worker the whole array is one aligned chunk, so the
     /// sweep routes through [`Prepared::apply_local`] and its laned (AVX2
@@ -1022,153 +1021,6 @@ impl Prepared {
                     amps.par_iter_mut().enumerate().for_each(apply);
                 } else {
                     amps.iter_mut().enumerate().for_each(apply);
-                }
-            }
-        }
-    }
-
-    /// Applies the op across shard boundaries, element-wise over absolute
-    /// physical indices. Used by the sharded engine when `span` exceeds the
-    /// shard length; the arithmetic per amplitude is identical to the local
-    /// path (and to the flat engine) — only the addressing differs.
-    /// Dense/sparse kernels are the true *exchanges*: they gather a group
-    /// from several shards of the family, multiply, and scatter back.
-    /// Diagonal and permutation kernels never need a gather buffer.
-    pub(crate) fn apply_cross(&self, shards: &mut [Vec<Complex64>], local_bits: usize, dim: usize) {
-        let lmask = (1usize << local_bits) - 1;
-        macro_rules! at {
-            ($idx:expr) => {
-                shards[$idx >> local_bits][$idx & lmask]
-            };
-        }
-        let gmask = (dim - 1) & !self.smask;
-        match &self.kind {
-            Kind::Diagonal { active } => {
-                for &(off0, phase) in active {
-                    for_each_subset(gmask, |off| {
-                        at!(off0 + off) *= phase;
-                    });
-                }
-            }
-            Kind::Permutation { cycles, fixed, .. } => {
-                if cycles.is_empty() && fixed.is_empty() {
-                    return;
-                }
-                for_each_subset(gmask, |off| {
-                    for cy in cycles {
-                        let m = cy.offs.len();
-                        let tmp = at!(off + cy.offs[m - 1]);
-                        if cy.trivial {
-                            for i in (1..m).rev() {
-                                at!(off + cy.offs[i]) = at!(off + cy.offs[i - 1]);
-                            }
-                            at!(off + cy.offs[0]) = tmp;
-                        } else {
-                            for i in (1..m).rev() {
-                                at!(off + cy.offs[i]) = cy.phs[i - 1] * at!(off + cy.offs[i - 1]);
-                            }
-                            at!(off + cy.offs[0]) = cy.phs[m - 1] * tmp;
-                        }
-                    }
-                    for &(o, p) in fixed {
-                        at!(off + o) *= p;
-                    }
-                });
-            }
-            Kind::Dense {
-                scatter,
-                flat,
-                kdim,
-                cmask,
-                cval,
-                ..
-            } => {
-                let mut buf = [Complex64::ZERO; MAX_BLOCK_DIM];
-                for_each_subset(gmask, |off| {
-                    if off & cmask != *cval {
-                        return;
-                    }
-                    for (b, s) in buf[..*kdim].iter_mut().zip(scatter) {
-                        *b = at!(off + *s);
-                    }
-                    for (row, mrow) in flat.chunks_exact(*kdim).enumerate() {
-                        let mut acc = Complex64::ZERO;
-                        for (mc, bc) in mrow.iter().zip(&buf[..*kdim]) {
-                            acc += *mc * *bc;
-                        }
-                        at!(off + scatter[row]) = acc;
-                    }
-                });
-            }
-            Kind::Sparse { comps } => {
-                let mut buf = [Complex64::ZERO; MAX_BLOCK_DIM];
-                for_each_subset(gmask, |off| {
-                    for comp in comps {
-                        match comp.offs.len() {
-                            1 => at!(off + comp.offs[0]) *= comp.flat[0],
-                            2 => {
-                                let a0 = at!(off + comp.offs[0]);
-                                let a1 = at!(off + comp.offs[1]);
-                                at!(off + comp.offs[0]) = comp.flat[0] * a0 + comp.flat[1] * a1;
-                                at!(off + comp.offs[1]) = comp.flat[2] * a0 + comp.flat[3] * a1;
-                            }
-                            md => {
-                                for (b, o) in buf[..md].iter_mut().zip(&comp.offs) {
-                                    *b = at!(off + *o);
-                                }
-                                for (row, mrow) in comp.flat.chunks_exact(md).enumerate() {
-                                    let mut acc = Complex64::ZERO;
-                                    for (mc, bc) in mrow.iter().zip(&buf[..md]) {
-                                        acc += *mc * *bc;
-                                    }
-                                    at!(off + comp.offs[row]) = acc;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            Kind::CtrlSingle {
-                stride,
-                cmask,
-                cval,
-                u,
-            } => {
-                let pair_mask = (dim - 1) & !stride;
-                for_each_subset(pair_mask, |i| {
-                    if i & cmask != *cval {
-                        return;
-                    }
-                    let a0 = at!(i);
-                    let a1 = at!(i + stride);
-                    at!(i) = u[0] * a0 + u[1] * a1;
-                    at!(i + stride) = u[2] * a0 + u[3] * a1;
-                });
-            }
-            // Keyed and global phases have span 1 and are always local;
-            // Swap never needs a buffer either way.
-            Kind::Keyed { kmask, kval, phase } => {
-                for i in 0..dim {
-                    if i & kmask == *kval {
-                        at!(i) *= *phase;
-                    }
-                }
-            }
-            Kind::Swap { pa, pb } => {
-                let (ba, bb) = (1usize << pa, 1usize << pb);
-                for_each_subset((dim - 1) & !(ba | bb), |off| {
-                    let i = off | ba;
-                    let j = off | bb;
-                    let tmp = at!(i);
-                    at!(i) = at!(j);
-                    at!(j) = tmp;
-                });
-            }
-            Kind::Phase { phase } => {
-                for shard in shards.iter_mut() {
-                    for a in shard.iter_mut() {
-                        *a *= *phase;
-                    }
                 }
             }
         }

@@ -1,12 +1,15 @@
 //! Sharded statevector engine for the 24–30 qubit range.
 //!
-//! [`crate::StateVector`] keeps all `2^n` amplitudes in one flat `Vec` and
-//! sweeps the whole array once per fused op — at 24 qubits that is 256 MB of
-//! DRAM traffic per op, and the dense sweep becomes memory-bound
-//! (`bench/baseline.json`: ~1.8k gates/sec at 20 qubits vs ~28k at 16).
-//! [`ShardedStateVector`] splits the amplitude array into `2^s` equal
-//! shards, the qHiPSTER/Intel-QS distributed-amplitude scheme collapsed into
-//! one process:
+//! [`crate::StateVector`] replays runs of small-span ops one cache tile at a
+//! time, but every op whose support reaches a high bit (a low-numbered
+//! qubit) spans more than a tile and sweeps the whole array — at 24 qubits
+//! that is 256 MB of DRAM traffic per op, and the dense engine becomes
+//! memory-bound (`bench/baseline.json`: ~1.8k gates/sec at 20 qubits vs
+//! ~28k at 16). [`ShardedStateVector`] keeps the amplitudes in one flat
+//! buffer of `2^s` equal aligned **shards** — the qHiPSTER/Intel-QS
+//! distributed-amplitude scheme collapsed into one process, where a shard
+//! is simply a tile of shared memory — and relabels qubits per circuit so
+//! that few ops leave a shard:
 //!
 //! * the **top `s` bits** of the (physical) basis index select the shard,
 //!   the remaining `local_bits` address an amplitude inside it;
@@ -14,20 +17,20 @@
 //!   **shard-local**: consecutive runs of shard-local ops are applied one
 //!   shard at a time while the shard is cache-hot (cache blocking), so a run
 //!   of `k` ops costs one DRAM sweep instead of `k`;
-//! * ops that touch shard-index bits cross shards: **diagonal** kernels
-//!   still never exchange (each amplitude only meets its own phase),
-//!   **permutations** cross as in-place moves, and dense/sparse kernels
-//!   perform gather→multiply→scatter **exchanges** across the affected shard
-//!   family;
+//! * an op that touches shard-index bits sweeps the whole buffer through
+//!   the flat engine's laned, index-space-parallel sweep — the same run
+//!   loop as [`crate::StateVector::apply_fused`], with the shard length as
+//!   its tile;
 //! * a [`QubitRelabeling`] chosen per circuit maps hot qubits away from the
-//!   shard-index positions so exchanges are rare; every output boundary
-//!   ([`ShardedStateVector::to_state`], [`ShardedStateVector::probabilities`],
+//!   shard-index positions so such full sweeps are rare; every output
+//!   boundary ([`ShardedStateVector::to_state`],
+//!   [`ShardedStateVector::probabilities`],
 //!   [`ShardedStateVector::amplitude`], …) reads amplitudes in **logical**
 //!   order, un-permuting the relabeling.
 //!
-//! Every kernel here replays the flat engine's per-amplitude arithmetic in
-//! the same order, so evolving a state through this engine is bit-identical
-//! to [`crate::StateVector::apply_fused`] for any shard count and any
+//! Every kernel replays the flat engine's per-amplitude arithmetic in the
+//! same order, so evolving a state through this engine is bit-identical to
+//! [`crate::StateVector::apply_fused`] for any shard count and any
 //! relabeling — the existing property suites double as the oracle, and
 //! seeded sampling from the recovered state is byte-identical across
 //! `GHS_SHARD_COUNT` settings.
@@ -37,14 +40,14 @@
 //! a second full `2^n` buffer. CI proves this by running a 24-qubit workload
 //! under a `ulimit -v` sized for one flat copy plus scratch.
 
-use crate::kernels::Prepared;
-use crate::state::{parallel_threshold, StateVector};
+use crate::fused::apply_ops;
+use crate::kernels::sweep_parallel;
+use crate::state::StateVector;
 use ghs_circuit::{Circuit, FusedCircuit, QubitRelabeling};
 use ghs_math::Complex64;
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
-/// Default shard size in amplitudes (`2^15` = 512 KB of `Complex64`): small
+/// Default shard size in amplitudes (`2^15` = 512 KiB of `Complex64`): small
 /// enough that a whole shard stays L2-resident while a run of shard-local
 /// ops replays over it (measured best on a 2 MB-L2 part across a
 /// 512 KB–16 MB sweep), large enough that per-shard dispatch is noise.
@@ -83,22 +86,24 @@ pub fn shard_count_for(num_qubits: usize) -> usize {
     1usize << (usize::BITS - 1 - raw.leading_zeros())
 }
 
-/// A pure state stored as `2^s` fixed-size amplitude shards under a
-/// logical→physical [`QubitRelabeling`].
+/// A pure state stored as one amplitude buffer of `2^s` fixed-size shards
+/// under a logical→physical [`QubitRelabeling`].
 ///
 /// Construct with [`ShardedStateVector::zero_state`] /
 /// [`ShardedStateVector::basis_state`] (shard count from
 /// [`shard_count_for`], i.e. the `GHS_SHARD_COUNT` knob or the automatic
-/// 4 MB-per-shard policy) or the explicit-layout constructors used by the
-/// property tests. Evolve with [`ShardedStateVector::run`] — which fuses,
-/// picks the relabeling, and applies — and read results through the
-/// logical-order boundaries. See the module docs for the sharding scheme
-/// and its exchange costs.
+/// policy of `2^15`-amplitude = 512 KiB shards) or the explicit-layout
+/// constructors used by the property tests. Evolve with
+/// [`ShardedStateVector::run`] — which fuses, picks the relabeling, and
+/// applies — and read results through the logical-order boundaries. See the
+/// module docs for the sharding scheme.
 pub struct ShardedStateVector {
     num_qubits: usize,
     local_bits: usize,
     relabeling: QubitRelabeling,
-    shards: Vec<Vec<Complex64>>,
+    /// Amplitudes in physical index order; shard `s` is the aligned tile
+    /// `[s << local_bits, (s + 1) << local_bits)`.
+    amps: Vec<Complex64>,
     /// `Some(logical_index)` while the state is a pristine basis state, so
     /// re-basing under a new relabeling is O(1) instead of a full permute.
     basis_hint: Option<usize>,
@@ -122,15 +127,13 @@ impl ShardedStateVector {
     pub fn basis_state_with(num_qubits: usize, index: usize, shard_count: usize) -> Self {
         let dim = 1usize << num_qubits;
         assert!(index < dim, "basis index out of range");
-        let count = normalize_count(shard_count, dim);
-        let shard_len = dim / count;
-        let mut shards = vec![vec![Complex64::ZERO; shard_len]; count];
-        shards[index / shard_len][index % shard_len] = Complex64::ONE;
+        let mut amps = vec![Complex64::ZERO; dim];
+        amps[index] = Complex64::ONE;
         Self {
             num_qubits,
-            local_bits: shard_len.trailing_zeros() as usize,
+            local_bits: (dim / normalize_count(shard_count, dim)).trailing_zeros() as usize,
             relabeling: QubitRelabeling::identity(num_qubits),
-            shards,
+            amps,
             basis_hint: Some(index),
         }
     }
@@ -145,17 +148,11 @@ impl ShardedStateVector {
     /// Copies a flat state into an explicit shard count.
     pub fn from_state_with(state: &StateVector, shard_count: usize) -> Self {
         let dim = state.dim();
-        let count = normalize_count(shard_count, dim);
-        let shard_len = dim / count;
-        let amps = state.amplitudes();
-        let shards: Vec<Vec<Complex64>> = (0..count)
-            .map(|s| amps[s * shard_len..(s + 1) * shard_len].to_vec())
-            .collect();
         Self {
             num_qubits: state.num_qubits(),
-            local_bits: shard_len.trailing_zeros() as usize,
+            local_bits: (dim / normalize_count(shard_count, dim)).trailing_zeros() as usize,
             relabeling: QubitRelabeling::identity(state.num_qubits()),
-            shards,
+            amps: state.amplitudes().to_vec(),
             basis_hint: None,
         }
     }
@@ -172,7 +169,7 @@ impl ShardedStateVector {
 
     /// Number of shards (a power of two).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.amps.len() >> self.local_bits
     }
 
     /// Amplitudes per shard (a power of two).
@@ -200,7 +197,8 @@ impl ShardedStateVector {
     /// relabeling: re-bases the stored amplitudes to the new layout, maps
     /// the circuit with [`FusedCircuit::relabeled`] and applies it. Any
     /// relabeling is correct — outputs are always read in logical order —
-    /// but [`QubitRelabeling::for_sharding`] minimizes exchanges.
+    /// but [`QubitRelabeling::for_sharding`] minimizes the ops that touch
+    /// shard-index bits.
     pub fn run_fused_with(&mut self, fused: &FusedCircuit, relabeling: &QubitRelabeling) {
         self.rebase(relabeling);
         if relabeling.is_identity() {
@@ -212,81 +210,27 @@ impl ShardedStateVector {
 
     /// Applies a fused circuit **already expressed in this state's physical
     /// labels** (i.e. pre-mapped with [`FusedCircuit::relabeled`] under
-    /// [`ShardedStateVector::relabeling`]). Runs of shard-local ops are
-    /// cache-blocked per shard; cross-shard ops fall back to element-wise
-    /// family sweeps. In-place: no allocation beyond a stack gather buffer.
-    pub fn apply_relabeled(&mut self, fused: &FusedCircuit) {
-        assert_eq!(
-            fused.num_qubits(),
-            self.num_qubits,
-            "register size mismatch"
-        );
+    /// [`ShardedStateVector::relabeling`]) through the flat engine's run
+    /// loop with one shard per tile: runs of shard-local ops are
+    /// cache-blocked per shard, ops on shard-index bits sweep the whole
+    /// buffer. In-place: no allocation beyond a stack gather buffer.
+    fn apply_relabeled(&mut self, fused: &FusedCircuit) {
         self.basis_hint = None;
-        let n = self.num_qubits;
-        let prepared: Vec<Prepared> = fused
-            .ops()
-            .iter()
-            .map(|op| Prepared::build(n, op))
-            .collect();
-        let shard_len = self.shard_len();
-        let local_bits = self.local_bits;
-        let parallel = self.dim() >= parallel_threshold() && self.shards.len() > 1;
-        let mut i = 0usize;
-        while i < prepared.len() {
-            if prepared[i].span <= shard_len {
-                // Cache-blocked run: apply every consecutive shard-local op
-                // to one shard while it is hot, then move to the next shard.
-                let mut j = i + 1;
-                while j < prepared.len() && prepared[j].span <= shard_len {
-                    j += 1;
-                }
-                let run = &prepared[i..j];
-                let apply_run = |(si, shard): (usize, &mut Vec<Complex64>)| {
-                    let base = si << local_bits;
-                    for op in run {
-                        op.apply_local(base, shard);
-                    }
-                };
-                if parallel {
-                    self.shards.par_iter_mut().enumerate().for_each(apply_run);
-                } else {
-                    self.shards.iter_mut().enumerate().for_each(apply_run);
-                }
-                i = j;
-            } else {
-                prepared[i].apply_cross(&mut self.shards, local_bits, 1usize << n);
-                i += 1;
-            }
-        }
-        if fused.global_phase() != 0.0 {
-            let p = Complex64::cis(fused.global_phase());
-            let mul = |(_, shard): (usize, &mut Vec<Complex64>)| {
-                for a in shard.iter_mut() {
-                    *a *= p;
-                }
-            };
-            if parallel {
-                self.shards.par_iter_mut().enumerate().for_each(mul);
-            } else {
-                self.shards.iter_mut().enumerate().for_each(mul);
-            }
-        }
+        let (tile, parallel) = (self.shard_len(), sweep_parallel(self.dim()));
+        apply_ops(&mut self.amps, fused, tile, parallel);
     }
 
     /// Moves the stored amplitudes to a new relabeling. O(1) for pristine
     /// basis states (the common case: every `Backend::run` starts from a
     /// basis state); a full permuting copy otherwise — which allocates a
-    /// second shard set and is therefore avoided on the memory-ceiling path.
+    /// second buffer and is therefore avoided on the memory-ceiling path.
     fn rebase(&mut self, target: &QubitRelabeling) {
         if *target == self.relabeling {
             return;
         }
-        let lmask = self.shard_len() - 1;
         if let Some(index) = self.basis_hint {
-            let old = self.relabeling.permute_index(index);
-            let new = target.permute_index(index);
-            self.shards[old >> self.local_bits][old & lmask] = Complex64::ZERO;
-            self.shards[new >> self.local_bits][new & lmask] = Complex64::ONE;
+            self.amps[self.relabeling.permute_index(index)] = Complex64::ZERO;
+            self.amps[target.permute_index(index)] = Complex64::ONE;
             self.relabeling = target.clone();
             return;
         }
@@ -298,35 +242,24 @@ impl ShardedStateVector {
         for p in 0..self.num_qubits {
             move_bit[old_bits[p]] = new_bits[p];
         }
-        let shard_len = self.shard_len();
-        let mut fresh = vec![vec![Complex64::ZERO; shard_len]; self.shards.len()];
-        for (s, shard) in self.shards.iter().enumerate() {
-            let base = s << self.local_bits;
-            for (k, &a) in shard.iter().enumerate() {
-                let old = base + k;
-                let mut new = 0usize;
-                for (src, &dst) in move_bit.iter().enumerate() {
-                    if old >> src & 1 == 1 {
-                        new |= 1 << dst;
-                    }
+        let mut fresh = vec![Complex64::ZERO; self.amps.len()];
+        for (old, &a) in self.amps.iter().enumerate() {
+            let mut new = 0usize;
+            for (src, &dst) in move_bit.iter().enumerate() {
+                if old >> src & 1 == 1 {
+                    new |= 1 << dst;
                 }
-                fresh[new >> self.local_bits][new & lmask] = a;
             }
+            fresh[new] = a;
         }
-        self.shards = fresh;
+        self.amps = fresh;
         self.relabeling = target.clone();
-    }
-
-    /// Absolute physical-index read.
-    #[inline]
-    fn at(&self, physical: usize) -> Complex64 {
-        self.shards[physical >> self.local_bits][physical & (self.shard_len() - 1)]
     }
 
     /// Amplitude of the **logical** basis state `index`, un-permuting the
     /// relabeling.
     pub fn amplitude(&self, index: usize) -> Complex64 {
-        self.at(self.relabeling.permute_index(index))
+        self.amps[self.relabeling.permute_index(index)]
     }
 
     /// Probability of measuring the logical basis state `index`.
@@ -361,15 +294,10 @@ impl ShardedStateVector {
 
     /// Folds over amplitudes in logical index order.
     fn fold_logical<T, F: FnMut(T, Complex64) -> T>(&self, init: T, mut f: F) -> T {
-        let mut acc = init;
         if self.relabeling.is_identity() {
-            for shard in &self.shards {
-                for &a in shard {
-                    acc = f(acc, a);
-                }
-            }
-            return acc;
+            return self.amps.iter().fold(init, |acc, &a| f(acc, a));
         }
+        let mut acc = init;
         let bits = self.relabeling.bit_mapping();
         for logical in 0..self.dim() {
             let mut physical = 0usize;
@@ -378,7 +306,7 @@ impl ShardedStateVector {
                     physical |= 1 << dst;
                 }
             }
-            acc = f(acc, self.at(physical));
+            acc = f(acc, self.amps[physical]);
         }
         acc
     }
@@ -426,11 +354,10 @@ mod tests {
             for count in [1usize, 2, 8, 1 << n] {
                 let mut sharded = ShardedStateVector::basis_state_with(n, 0, count);
                 sharded.run(&c);
-                let out = sharded.to_state();
-                assert!(
-                    out.distance(&flat) < 1e-12,
-                    "n={n} count={count}: distance {}",
-                    out.distance(&flat)
+                assert_eq!(
+                    sharded.to_state().amplitudes(),
+                    flat.amplitudes(),
+                    "n={n} count={count} drifted from the flat engine"
                 );
             }
         }
@@ -438,9 +365,11 @@ mod tests {
 
     #[test]
     fn cross_shard_outputs_are_bit_identical_across_counts() {
-        // Tiny shards force every kernel down the cross-shard paths; the
-        // recovered amplitudes must equal the single-shard run bit for bit.
-        for n in 3..=8usize {
+        // Tiny shards force every kernel across shard boundaries, through
+        // the full-buffer sweep (index-space parallel from 2^12 amplitudes
+        // at the default threshold); the recovered amplitudes must equal
+        // the single-shard run bit for bit.
+        for n in 3..=14usize {
             let c = random_circuit(n, 60, 77 + n as u64);
             let mut one = ShardedStateVector::basis_state_with(n, 1, 1);
             one.run(&c);
